@@ -4,7 +4,8 @@ Every library operation is reachable from a subcommand, and ``verify``
 cross-checks the independent computation routes against each other.
 Output is plain newline-terminated text, deterministic for identical
 invocations. Exit status: 0 success, 1 usage or input error, 2 when
-``verify`` reports any FAIL line.
+``verify`` reports any FAIL line, 3 when an internal invariant fails
+(``error: INTERNAL: ...`` or ``error: DEGENERATE: ...``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from typing import Iterator
 
 from . import sequences, series, symdiff, words
-from .errors import MotzkinError
+from .errors import DegenerateFractionError, InternalError, MotzkinError
 
 # Above this length the verify census would enumerate millions of words;
 # checks that need exhaustive listings are capped here.
@@ -202,6 +203,9 @@ def main(argv: list[str] | None = None) -> int:
         code = getattr(exc, "code", "USAGE")
         print(f"error: {code}: {exc}", file=sys.stderr)
         return 1
+    except (InternalError, DegenerateFractionError) as exc:
+        print(f"error: {exc.code}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,12 +16,18 @@ update (conjugate-free, obtained by clearing the 1/W terms):
     C = 2cdr
     D = c^2 + d^2*r
 
-where ``t = r'/2``. The update returns the true derivative but squares
-the denominator, so iterating it doubles every polynomial degree per
-pass. ``DerivativeCursor`` therefore rewrites each result over the
-canonical denominator ``r^k * (1 - x + W)^(k+1)``, which represents the
-same function, grows only linearly in degree, and never vanishes at
-zero. All divisions are exact and checked.
+where ``t = r'/2``. It is the literal cycle, kept as an independent
+reference: iterating it squares the denominator, so every polynomial
+degree doubles per pass.
+
+``DerivativeCursor`` instead keeps the k-th derivative over the
+canonical denominator ``r^k * D^(k+1)`` with ``D = 1 - x + W``. The
+quotient rule on ``N / (r^k * D^(k+1))`` with ``N = a + b*W`` gives the
+next numerator directly over ``r^(k+1) * D^(k+2)``:
+
+    N_new = (a'r + (b'r + bt)W) D - N (2kt D + (k+1)(tW - r))
+
+so degrees grow linearly in k and no step divides.
 """
 
 from __future__ import annotations
@@ -202,45 +208,38 @@ def _extension_mul(p: IntPoly, q: IntPoly, u: IntPoly, v: IntPoly) -> tuple[IntP
     return p * u + q * v * RADICAND, p * v + q * u
 
 
-def _extension_div(p: IntPoly, q: IntPoly, u: IntPoly, v: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Exact (p + q*W) / (u + v*W); multiplies by the conjugate and
-    divides by the norm u^2 - v^2*r, checking exactness."""
-    norm = u * u - v * v * RADICAND
-    top_p, top_q = _extension_mul(p, q, u, -v)
-    return top_p.exact_div(norm), top_q.exact_div(norm)
-
-
 class DerivativeCursor:
     """Stepwise derivatives of the seed fraction.
 
     After k advances ``current`` equals the k-th derivative of
     ``initial_fraction()`` as a function near zero, held over the
-    canonical denominator ``r^k * (1 - x + W)^(k+1)`` so that polynomial
-    degrees stay linear in k (the raw update alone doubles them each
-    pass). A cursor is a sequential accumulator: advance it from one
-    owner; independent cursors are independent.
+    canonical denominator ``r^k * D^(k+1)`` (see the module docstring
+    for the update). A cursor is a sequential accumulator: advance it
+    from one owner; independent cursors are independent.
     """
 
     def __init__(self) -> None:
         self.current = initial_fraction()
         self.passes = 0
 
-    def advance(self, reduce_content: bool = True) -> SqrtFraction:
+    def advance(self) -> SqrtFraction:
         """Differentiate once; returns the new ``current``."""
+        k = self.passes
+        a, b, c, d = self.current.a, self.current.b, self.current.c, self.current.d
         seed = initial_fraction()
-        raw = derivative_step(self.current)
-        if reduce_content:
-            raw = content_reduce(raw)
-        target_c, target_d = _extension_mul(self.current.c, self.current.d, seed.c, seed.d)
-        target_c, target_d = target_c * RADICAND, target_d * RADICAND
-        numerator_p, numerator_q = _extension_mul(raw.a, raw.b, target_c, target_d)
-        new_a, new_b = _extension_div(numerator_p, numerator_q, raw.c, raw.d)
-        self.current = SqrtFraction(new_a, new_b, target_c, target_d)
+        root_p, root_q = seed.c, seed.d  # D = 1 - x + W
+        r, t = RADICAND, HALF_DERIVATIVE
+        lead_p, lead_q = _extension_mul(a.derivative() * r, b.derivative() * r + b * t, root_p, root_q)
+        factor_p = 2 * k * t * root_p - (k + 1) * r
+        factor_q = 2 * k * t * root_q + (k + 1) * t
+        tail_p, tail_q = _extension_mul(a, b, factor_p, factor_q)
+        new_c, new_d = _extension_mul(c * r, d * r, root_p, root_q)
+        self.current = SqrtFraction(lead_p - tail_p, lead_q - tail_q, new_c, new_d)
         self.passes += 1
         return self.current
 
 
-def nat_coefficients(k_max: int, reduce_content: bool = True) -> list[int]:
+def nat_coefficients(k_max: int) -> list[int]:
     """Difference numbers U_0..U_k_max extracted by the derivative cycle.
 
     U_k is the k-th derivative of the seed fraction at zero over k!,
@@ -254,7 +253,7 @@ def nat_coefficients(k_max: int, reduce_content: bool = True) -> list[int]:
     out: list[int] = []
     for k in range(k_max + 1):
         if k:
-            cursor.advance(reduce_content)
+            cursor.advance()
             factorial *= k
         value = evaluate_at_zero(cursor.current) / factorial
         if k == 0:
@@ -267,9 +266,9 @@ def nat_coefficients(k_max: int, reduce_content: bool = True) -> list[int]:
     return out
 
 
-def nat_coefficient(k: int, reduce_content: bool = True) -> int:
+def nat_coefficient(k: int) -> int:
     """The single difference number U_k via the derivative cycle."""
-    return nat_coefficients(k, reduce_content)[-1]
+    return nat_coefficients(k)[-1]
 
 
 def fraction_series(fraction: SqrtFraction, order: int) -> TruncatedSeries:

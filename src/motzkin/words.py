@@ -94,17 +94,19 @@ def sort_key(word: str):
     return len(word), tuple(_SYMBOL_RANK[symbol] for symbol in word)
 
 
+def _next_row(prev: list[int]) -> list[int]:
+    """Row r + 1 of the completion table from row r: a first symbol
+    '(', '0' or ')' leaves depth h + 1, h or h - 1 for the rest."""
+    padded = [0, *prev, 0, 0]
+    return [padded[h] + padded[h + 1] + padded[h + 2] for h in range(len(prev) + 1)]
+
+
 def _completion_rows(length: int) -> list[list[int]]:
     """Rows r = 0..length of the completion table; rows[r][h] counts the
     ways to finish from h open parentheses in exactly r symbols."""
     rows = [[1]]
-    for r in range(1, length + 1):
-        prev = rows[-1]
-
-        def count(h: int) -> int:
-            return prev[h] if 0 <= h < len(prev) else 0
-
-        rows.append([count(h) + count(h + 1) + (count(h - 1) if h else 0) for h in range(r + 1)])
+    for _ in range(length):
+        rows.append(_next_row(rows[-1]))
     return rows
 
 
@@ -140,7 +142,6 @@ def enumerate_words(n: int, kind: str = "all") -> list[str]:
     if n == 1:
         return [] if kind == INHERITED else [ZERO]
 
-    rows = _completion_rows(n)
     out: list[str] = []
     prefix: list[str] = []
 
@@ -151,8 +152,6 @@ def enumerate_words(n: int, kind: str = "all") -> list[str]:
         for symbol in SYMBOLS:
             new_depth = depth + _DELTA[symbol]
             if new_depth < 0 or new_depth > remaining - 1:
-                continue
-            if rows[remaining - 1][new_depth] == 0:
                 continue
             prefix.append(symbol)
             extend(new_depth, remaining - 1)
@@ -176,10 +175,10 @@ def rank(word: str) -> int:
     anything that is not a Motzkin word.
     """
     try:
-        validate(word)
+        kind = classify(word)
     except MotzkinWordError as exc:
         raise NotUniqueError(f"not a Motzkin word: {exc}") from exc
-    if classify(word) != UNIQUE:
+    if kind != UNIQUE:
         raise NotUniqueError(f"{word!r} has no position in the series")
 
     n = len(word)
@@ -209,16 +208,10 @@ def unrank(index: int) -> str:
 
     # Grow the completion table until the length block containing the
     # index is known: indexes below completion_count(0, n) have length <= n.
-    rows = [[1], [1, 1]]
-    n = 1
-    while rows[n][0] <= index:
-        prev = rows[-1]
-
-        def count(h: int) -> int:
-            return prev[h] if 0 <= h < len(prev) else 0
-
-        rows.append([count(h) + count(h + 1) + (count(h - 1) if h else 0) for h in range(n + 2)])
-        n += 1
+    rows = _completion_rows(1)
+    while rows[-1][0] <= index:
+        rows.append(_next_row(rows[-1]))
+    n = len(rows) - 1
 
     if n == 1:
         return ZERO

@@ -1,6 +1,6 @@
 import pytest
 
-from motzkin import cli, sequences, symdiff, words
+from motzkin import DegenerateFractionError, InternalError, cli, sequences, symdiff, words
 
 
 def run(capsys, *argv):
@@ -134,6 +134,20 @@ class TestUsageErrors:
         assert cli.main(["--help"]) == 0
 
 
+class TestInternalErrors:
+    @pytest.mark.parametrize("error, code", [(InternalError, "INTERNAL"), (DegenerateFractionError, "DEGENERATE")])
+    def test_reported_without_traceback(self, capsys, monkeypatch, error, code):
+        def broken(k_max):
+            raise error("invariant failed")
+
+        monkeypatch.setattr(symdiff, "nat_coefficients", broken)
+        status, out, err = run(capsys, "symdiff", "--max", "3")
+        assert status == 3
+        assert out == ""
+        assert err == f"error: {code}: invariant failed\n"
+        assert "Traceback" not in err
+
+
 class TestDeterminism:
     def test_identical_invocations(self, capsys):
         _, first, _ = run(capsys, "verify", "--max", "6")
@@ -165,8 +179,8 @@ class TestVerify:
     def test_corrupt_symdiff(self, capsys, monkeypatch):
         original = symdiff.nat_coefficients
 
-        def corrupted(k_max, reduce_content=True):
-            table = original(k_max, reduce_content)
+        def corrupted(k_max):
+            table = original(k_max)
             table[-1] += 1
             return table
 

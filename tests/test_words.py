@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -213,6 +214,18 @@ class TestBijection:
         listing = [words.unrank(i) for i in range(bound)]
         for previous, current in zip(listing, listing[1:]):
             assert words.compare(previous, current) == -1
+
+    def test_roundtrip_at_long_lengths(self):
+        # Unique words of length n hold the indexes M_(n-1) <= i < M_n.
+        rng = random.Random(2002)
+        motzkin = sequences.motzkin_numbers(300)
+        for n in range(20, 301, 20):
+            first, end = motzkin[n - 1], motzkin[n]
+            for index in (first, rng.randrange(first, end), end - 1):
+                word = words.unrank(index)
+                assert len(word) == n
+                assert words.classify(word) == "unique"
+                assert words.rank(word) == index
 
     def test_enumerate_matches_unrank_blocks(self):
         offset = 0
