@@ -31,7 +31,6 @@ from .symdiff import (
     evaluate_at_zero,
     fraction_series,
     initial_fraction,
-    nat_coefficient,
     nat_coefficients,
 )
 from .words import (
@@ -78,7 +77,6 @@ __all__ = [
     "initial_fraction",
     "motzkin_numbers",
     "motzkin_series",
-    "nat_coefficient",
     "nat_coefficients",
     "nat_series",
     "rank",

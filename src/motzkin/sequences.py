@@ -2,24 +2,30 @@
 
 Python integers are unbounded, so the tables never overflow; exactness
 at large indexes is the point of recomputing these classic sequences
-here rather than hard-coding a prefix.
+here rather than hard-coding a prefix. The Motzkin table comes from the
+three-term recurrence of Donaghey & Shapiro ("Motzkin numbers", JCTA 23,
+1977; OEIS A001006), so the convolution in the ``convolution``
+difference method and in the functional series checks it independently.
 """
+
+from .errors import InternalError
 
 
 def motzkin_numbers(n_max: int) -> list[int]:
     """Return the table ``[M_0, ..., M_n_max]``.
 
-    ``M_0 = 1`` and ``M_n = M_{n-1} + sum(M_k * M_{n-2-k}, k=0..n-2)``.
-    The n-th entry counts the Motzkin words of length n.
+    ``M_0 = M_1 = 1`` and ``(n+2) M_n = (2n+1) M_{n-1} + 3(n-1) M_{n-2}``.
+    The n-th entry counts the Motzkin words of length n. Raises
+    InternalError if a division by ``n+2`` is not exact.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    values = [1]
-    for n in range(1, n_max + 1):
-        total = values[n - 1]
-        for k in range(n - 1):
-            total += values[k] * values[n - 2 - k]
-        values.append(total)
+    values = [1, 1][: n_max + 1]
+    for n in range(2, n_max + 1):
+        value, remainder = divmod((2 * n + 1) * values[n - 1] + 3 * (n - 1) * values[n - 2], n + 2)
+        if remainder:
+            raise InternalError(f"recurrence not exact at n={n}")
+        values.append(value)
     return values
 
 

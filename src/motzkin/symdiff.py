@@ -266,11 +266,6 @@ def nat_coefficients(k_max: int) -> list[int]:
     return out
 
 
-def nat_coefficient(k: int) -> int:
-    """The single difference number U_k via the derivative cycle."""
-    return nat_coefficients(k)[-1]
-
-
 def fraction_series(fraction: SqrtFraction, order: int) -> TruncatedSeries:
     """Expand a fraction as a truncated power series by substituting the
     series square root for W; independent check on the symbolic cycle."""

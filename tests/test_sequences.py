@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
 from motzkin import sequences
+from motzkin.series import motzkin_series
 
 # OEIS A001006 prefix.
 MOTZKIN_PREFIX = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511, 41835]
@@ -47,8 +50,19 @@ def test_difference_example_subtraction():
     assert sequences.difference_numbers(6, "subtraction") == [0, 1, 1, 2, 5, 12, 30]
 
 
-def test_difference_methods_agree_to_64():
-    assert sequences.difference_numbers(64, "subtraction") == sequences.difference_numbers(64, "convolution")
+def test_difference_methods_agree_to_400():
+    assert sequences.difference_numbers(400, "subtraction") == sequences.difference_numbers(400, "convolution")
+
+
+def test_motzkin_matches_functional_series_to_400():
+    assert sequences.motzkin_numbers(400) == motzkin_series(400, "functional").integer_coefficients()
+
+
+def test_motzkin_table_is_linear_time():
+    # An O(n^2) convolution table takes seconds here; the recurrence takes milliseconds.
+    start = time.perf_counter()
+    sequences.motzkin_numbers(5000)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_difference_rejects_bad_method():

@@ -17,7 +17,6 @@ from motzkin.symdiff import (
     evaluate_at_zero,
     fraction_series,
     initial_fraction,
-    nat_coefficient,
     nat_coefficients,
 )
 
@@ -222,14 +221,14 @@ class TestDerivativeCursor:
 
 class TestNatCoefficient:
     def test_low_anchors(self):
-        assert nat_coefficient(0) == 0
-        assert nat_coefficient(1) == 1
+        assert nat_coefficients(0)[-1] == 0
+        assert nat_coefficients(1)[-1] == 1
 
     def test_pass_twelve(self):
-        assert nat_coefficient(12) == 9713
+        assert nat_coefficients(12)[-1] == 9713
 
     def test_pass_fourteen(self):
-        assert nat_coefficient(14) == 71799
+        assert nat_coefficients(14)[-1] == 71799
 
     def test_prefix(self):
         assert nat_coefficients(14) == DIFFERENCE_PREFIX
@@ -256,4 +255,4 @@ class TestFractionSeries:
         expansion = fraction_series(initial_fraction(), 4)
         adjustments = {0: -1, 1: 1}
         for k in range(5):
-            assert nat_coefficient(k) == expansion[k] + adjustments.get(k, 0)
+            assert nat_coefficients(k)[-1] == expansion[k] + adjustments.get(k, 0)

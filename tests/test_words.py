@@ -86,8 +86,10 @@ class TestCompare:
 class TestCompletionCount:
     def test_motzkin_identity(self):
         assert words.completion_count(0, 4) == 9
-        motzkin = sequences.motzkin_numbers(12)
-        assert [words.completion_count(0, n) for n in range(13)] == motzkin
+        motzkin = sequences.motzkin_numbers(300)
+        assert [words.completion_count(0, n) for n in range(13)] == motzkin[:13]
+        for n in (50, 137, 211, 300):
+            assert words.completion_count(0, n) == motzkin[n]
 
     def test_single_close(self):
         assert words.completion_count(1, 1) == 1
