@@ -15,7 +15,7 @@ import sys
 from typing import Iterator
 
 from . import sequences, series, symdiff, words
-from .errors import DegenerateFractionError, InternalError, MotzkinError
+from .errors import InternalError, MotzkinError
 
 # Above this length the verify census would enumerate millions of words;
 # checks that need exhaustive listings are capped here.
@@ -124,14 +124,12 @@ def _cmd_series(args: argparse.Namespace) -> int:
         result = series.motzkin_series(args.order, methods[flag])
     else:
         result = series.nat_series(args.order, methods[flag])
-    for value in result.integer_coefficients():
-        print(value)
+    _print_table(result.integer_coefficients(), False)
     return 0
 
 
 def _cmd_symdiff(args: argparse.Namespace) -> int:
-    for value in symdiff.nat_coefficients(args.max):
-        print(value)
+    _print_table(symdiff.nat_coefficients(args.max), False)
     return 0
 
 
@@ -203,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         code = getattr(exc, "code", "USAGE")
         print(f"error: {code}: {exc}", file=sys.stderr)
         return 1
-    except (InternalError, DegenerateFractionError) as exc:
+    except InternalError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 3
 

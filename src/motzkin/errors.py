@@ -65,7 +65,13 @@ class ZeroDenominatorError(MotzkinError):
     code = "ZERO_DENOMINATOR"
 
 
-class DegenerateFractionError(RuntimeError):
+class InternalError(RuntimeError):
+    """An exact arithmetic invariant failed; a bug, not bad input."""
+
+    code = "INTERNAL"
+
+
+class DegenerateFractionError(InternalError):
     """A derivative produced a fraction that cannot be evaluated at zero.
 
     Cannot occur for fractions that satisfy their invariants; treated as
@@ -73,9 +79,3 @@ class DegenerateFractionError(RuntimeError):
     """
 
     code = "DEGENERATE"
-
-
-class InternalError(RuntimeError):
-    """An exact arithmetic invariant failed; a bug, not bad input."""
-
-    code = "INTERNAL"

@@ -20,23 +20,27 @@ asserted rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import BadConstantTermError, InternalError, ZeroConstantTermError
 
-Scalar = Union[int, Fraction]
 
-
-@dataclass(frozen=True)
 class TruncatedSeries:
-    """Coefficients 0..order of a formal power series, exact rationals."""
+    """Coefficients 0..order of a formal power series, exact rationals.
 
-    coefficients: tuple[Fraction, ...]
+    Two series are equal when their coefficient tuples are, orders
+    included. Operands of the binary operations are series; the one
+    scalar form is ``int / series``.
+    """
+
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: Iterable[Fraction]):
+        self.coefficients = tuple(coefficients)
 
     @classmethod
-    def from_coefficients(cls, values: Iterable[Scalar], order: int | None = None) -> "TruncatedSeries":
+    def from_coefficients(cls, values: Iterable[int | Fraction], order: int | None = None) -> "TruncatedSeries":
         """Build a series from low-order coefficients, padding with zeros
         (or truncating) to the requested order."""
         coeffs = [Fraction(v) for v in values]
@@ -47,7 +51,7 @@ class TruncatedSeries:
             coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
         elif not coeffs:
             coeffs = [Fraction(0)]
-        return cls(tuple(coeffs))
+        return cls(coeffs)
 
     @property
     def order(self) -> int:
@@ -56,45 +60,26 @@ class TruncatedSeries:
     def __getitem__(self, n: int) -> Fraction:
         return self.coefficients[n]
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coefficients[: order + 1])
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, TruncatedSeries) and self.coefficients == other.coefficients
 
-    def _aligned(self, other: "TruncatedSeries") -> tuple[int, tuple[Fraction, ...], tuple[Fraction, ...]]:
-        order = min(self.order, other.order)
-        return order, self.coefficients, other.coefficients
+    def __hash__(self) -> int:
+        return hash(self.coefficients)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order, a, b = self._aligned(other)
-        return TruncatedSeries(tuple(a[n] + b[n] for n in range(order + 1)))
+        return TruncatedSeries(x + y for x, y in zip(self.coefficients, other.coefficients))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order, a, b = self._aligned(other)
-        return TruncatedSeries(tuple(a[n] - b[n] for n in range(order + 1)))
+        return TruncatedSeries(x - y for x, y in zip(self.coefficients, other.coefficients))
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coefficients))
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        a, b = self.coefficients, other.coefficients
+        order = min(self.order, other.order)
+        return TruncatedSeries(sum((a[k] * b[n - k] for k in range(n + 1)), Fraction(0)) for n in range(order + 1))
 
-    def scale(self, factor: Scalar) -> "TruncatedSeries":
-        factor = Fraction(factor)
-        return TruncatedSeries(tuple(factor * c for c in self.coefficients))
-
-    def __mul__(self, other: "TruncatedSeries | Scalar") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return self.scale(other)
-        order, a, b = self._aligned(other)
-        return TruncatedSeries(
-            tuple(sum((a[k] * b[n - k] for k in range(n + 1)), Fraction(0)) for n in range(order + 1))
-        )
-
-    def __rmul__(self, other: Scalar) -> "TruncatedSeries":
-        return self.scale(other)
-
-    def __truediv__(self, other: "TruncatedSeries | Scalar") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return self.scale(Fraction(1, 1) / Fraction(other))
-        order, num, den = self._aligned(other)
+    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        num, den = self.coefficients, other.coefficients
+        order = min(self.order, other.order)
         if den[0] == 0:
             raise ZeroConstantTermError("series division needs a nonzero constant term")
         quotient: list[Fraction] = []
@@ -103,9 +88,9 @@ class TruncatedSeries:
             for k in range(n):
                 acc -= quotient[k] * den[n - k]
             quotient.append(acc / den[0])
-        return TruncatedSeries(tuple(quotient))
+        return TruncatedSeries(quotient)
 
-    def __rtruediv__(self, numerator: Scalar) -> "TruncatedSeries":
+    def __rtruediv__(self, numerator: int | Fraction) -> "TruncatedSeries":
         return TruncatedSeries.from_coefficients([numerator], self.order) / self
 
     def sqrt(self) -> "TruncatedSeries":
@@ -119,7 +104,7 @@ class TruncatedSeries:
             for k in range(1, n):
                 acc -= root[k] * root[n - k]
             root.append(acc / 2)
-        return TruncatedSeries(tuple(root))
+        return TruncatedSeries(root)
 
     def integer_coefficients(self) -> list[int]:
         """Coefficients as ints; raises InternalError if any is fractional."""
@@ -159,7 +144,7 @@ def motzkin_series(order: int, method: str = "functional") -> TruncatedSeries:
             for k in range(n - 1):
                 acc += coeffs[k] * coeffs[n - 2 - k]
             coeffs.append(acc)
-        result = TruncatedSeries(tuple(coeffs))
+        result = TruncatedSeries(coeffs)
     else:
         root = TruncatedSeries.from_coefficients([1, -2, -3], order).sqrt()
         denominator = TruncatedSeries.from_coefficients([1, -1], order) + root

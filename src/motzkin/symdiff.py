@@ -33,7 +33,7 @@ so degrees grow linearly in k and no step divides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable
 
@@ -140,18 +140,15 @@ RADICAND = IntPoly((1, -2, -3))  # r = 1 - 2x - 3x^2
 HALF_DERIVATIVE = IntPoly((-1, -3))  # t = r'/2 = -1 - 3x
 
 
-@dataclass(frozen=True)
-class SqrtFraction:
-    """(a + b*W) / (c + d*W) with W = sqrt(RADICAND).
+class SqrtFraction(namedtuple("SqrtFraction", "a b c d")):
+    """(a + b*W) / (c + d*W) with W = sqrt(RADICAND), as the immutable
+    tuple of IntPolys (a, b, c, d).
 
     Valid fractions have c + d*W nonzero as an extension element and a
     denominator that does not vanish at x = 0, i.e. c(0) + d(0) != 0.
     """
 
-    a: IntPoly
-    b: IntPoly
-    c: IntPoly
-    d: IntPoly
+    __slots__ = ()
 
 
 def initial_fraction() -> SqrtFraction:
@@ -163,36 +160,25 @@ def initial_fraction() -> SqrtFraction:
 def derivative_step(fraction: SqrtFraction) -> SqrtFraction:
     """One differentiation pass; the result is the exact derivative of
     ``fraction`` on a neighborhood of zero."""
-    a, b, c, d = fraction.a, fraction.b, fraction.c, fraction.d
+    a, b, c, d = fraction
     da, db, dc, dd = a.derivative(), b.derivative(), c.derivative(), d.derivative()
     r, t = RADICAND, HALF_DERIVATIVE
     new_a = (da * d + db * c - b * dc - a * dd) * r + (b * c - a * d) * t
     new_b = da * c - a * dc + (db * d - b * dd) * r
     new_c = 2 * (c * d * r)
     new_d = c * c + d * d * r
-    result = SqrtFraction(new_a, new_b, new_c, new_d)
-    if result.c.at_zero() + result.d.at_zero() == 0:
+    if new_c.at_zero() + new_d.at_zero() == 0:
         raise DegenerateFractionError("derivative is not evaluable at zero")
-    return result
+    return SqrtFraction(new_a, new_b, new_c, new_d)
 
 
 def content_reduce(fraction: SqrtFraction) -> SqrtFraction:
     """Divide all four polynomials by the gcd of their integer contents;
     the common scalar cancels between numerator and denominator."""
-    g = math.gcd(
-        fraction.a.content(),
-        fraction.b.content(),
-        fraction.c.content(),
-        fraction.d.content(),
-    )
+    g = math.gcd(*(poly.content() for poly in fraction))
     if g <= 1:
         return fraction
-    return SqrtFraction(
-        IntPoly(k // g for k in fraction.a.coefficients),
-        IntPoly(k // g for k in fraction.b.coefficients),
-        IntPoly(k // g for k in fraction.c.coefficients),
-        IntPoly(k // g for k in fraction.d.coefficients),
-    )
+    return SqrtFraction(*(IntPoly(k // g for k in poly.coefficients) for poly in fraction))
 
 
 def evaluate_at_zero(fraction: SqrtFraction) -> Fraction:
@@ -225,7 +211,7 @@ class DerivativeCursor:
     def advance(self) -> SqrtFraction:
         """Differentiate once; returns the new ``current``."""
         k = self.passes
-        a, b, c, d = self.current.a, self.current.b, self.current.c, self.current.d
+        a, b, c, d = self.current
         seed = initial_fraction()
         root_p, root_q = seed.c, seed.d  # D = 1 - x + W
         r, t = RADICAND, HALF_DERIVATIVE

@@ -123,6 +123,21 @@ def completion_count(depth: int, remaining: int) -> int:
     return _completion_rows(remaining)[remaining][depth]
 
 
+def _extend(out: list[str], prefix: list[str], depth: int, remaining: int) -> None:
+    """Append to ``out``, in series order, every valid completion of
+    ``prefix`` (at ``depth``) by ``remaining`` more symbols."""
+    if remaining == 0:
+        out.append("".join(prefix))
+        return
+    for symbol in SYMBOLS:
+        new_depth = depth + _DELTA[symbol]
+        if new_depth < 0 or new_depth > remaining - 1:
+            continue
+        prefix.append(symbol)
+        _extend(out, prefix, new_depth, remaining - 1)
+        prefix.pop()
+
+
 def enumerate_words(n: int, kind: str = "all") -> list[str]:
     """All Motzkin words of length ``n`` in the series order.
 
@@ -142,29 +157,15 @@ def enumerate_words(n: int, kind: str = "all") -> list[str]:
     if n == 1:
         return [] if kind == INHERITED else [ZERO]
 
+    # A module-level DFS: a nested one would hold ``out`` in a reference
+    # cycle, keeping each listing alive until the cyclic collector runs.
     out: list[str] = []
-    prefix: list[str] = []
-
-    def extend(depth: int, remaining: int) -> None:
-        if remaining == 0:
-            out.append("".join(prefix))
-            return
-        for symbol in SYMBOLS:
-            new_depth = depth + _DELTA[symbol]
-            if new_depth < 0 or new_depth > remaining - 1:
-                continue
-            prefix.append(symbol)
-            extend(new_depth, remaining - 1)
-            prefix.pop()
-
     if kind == "all":
-        extend(0, n)
+        _extend(out, [], 0, n)
     elif kind == UNIQUE:
-        prefix.append(OPEN)
-        extend(1, n - 1)
+        _extend(out, [OPEN], 1, n - 1)
     else:
-        prefix.append(ZERO)
-        extend(0, n - 1)
+        _extend(out, [ZERO], 0, n - 1)
     return out
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from motzkin import DegenerateFractionError, InternalError, cli, sequences, symdiff, words
@@ -146,6 +151,21 @@ class TestInternalErrors:
         assert out == ""
         assert err == f"error: {code}: invariant failed\n"
         assert "Traceback" not in err
+
+
+class TestStartup:
+    def test_import_loads_no_dataclasses_or_inspect(self):
+        # Every CLI call is a fresh process, so import weight is startup time.
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = "import sys, motzkin; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout == "[]\n"
 
 
 class TestDeterminism:

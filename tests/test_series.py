@@ -24,10 +24,6 @@ class TestRingOperations:
         assert total.order == 1
         assert total == S([2, 3])
 
-    def test_scale(self):
-        assert S([1, 2]).scale(Fraction(1, 2)) == S([Fraction(1, 2), 1])
-        assert 3 * S([1, 2]) == S([3, 6])
-
     def test_motzkin_square_gives_shifted_differences(self):
         m = motzkin_series(4)
         square = m * m
@@ -35,12 +31,17 @@ class TestRingOperations:
         # Coefficient n of M^2 is the difference number at n + 2.
         assert square.integer_coefficients() == sequences.difference_numbers(6)[2:]
 
-    def test_getitem_and_truncate(self):
+    def test_getitem(self):
         m = S([1, 2, 3])
         assert m[2] == 3
-        assert m.truncate(1) == S([1, 2])
-        with pytest.raises(ValueError):
-            m.truncate(5)
+
+    def test_equal_series_hash_equal(self):
+        first, second = S([1, Fraction(1, 2)]), S([Fraction(2, 2), Fraction(1, 2)])
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+        assert first != first.coefficients
+        assert first != S([1, Fraction(1, 2), 0])
 
 
 class TestDivision:

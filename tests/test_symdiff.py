@@ -85,6 +85,11 @@ class TestInitialFraction:
         assert f.c == IntPoly((1, -1))
         assert f.d == IntPoly((1,))
 
+    def test_unpacks_in_field_order(self):
+        f = initial_fraction()
+        a, b, c, d = f
+        assert (a, b, c, d) == (f.a, f.b, f.c, f.d)
+
     def test_value_at_zero(self):
         assert evaluate_at_zero(initial_fraction()) == 1
 

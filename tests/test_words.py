@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -162,6 +164,20 @@ class TestEnumerate:
     def test_rejects_bad_filter(self):
         with pytest.raises(ValueError):
             words.enumerate_words(3, "palindromic")
+
+    def test_listing_freed_without_cyclic_gc(self):
+        # A listing must be freed by reference counting alone, as soon as
+        # its last reference goes; the 15,511 words of length 12 hold 1 MB.
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert len(words.enumerate_words(12)) == 15511
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held < 100_000
 
 
 class TestRank:
