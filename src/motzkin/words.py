@@ -16,8 +16,13 @@ are::
 that series. Both walk a completion-count table: ``completion_count(h, r)``
 is the number of ways to finish a word when h parentheses are open and
 r symbols remain, which doubles as an independent route to the Motzkin
-numbers via ``completion_count(0, n)``.
+numbers via ``completion_count(0, n)``. The table is built once per
+process and only grows; lengths above RANK_LIMIT raise
+LimitExceededError.
 """
+
+from bisect import bisect_right
+from operator import itemgetter
 
 from .errors import (
     BadSymbolError,
@@ -42,6 +47,10 @@ INHERITED = "inherited"
 # Exhaustive enumeration is exponential in n; this bound (853467 words of
 # length 16) keeps it comfortable in memory and time.
 ENUMERATION_LIMIT = 16
+
+# The completion table up to length n holds O(n^3) bits and stays for
+# the life of the process: about 85 MB at this bound, 500 MB at 2000.
+RANK_LIMIT = 1000
 
 FILTERS = ("all", UNIQUE, INHERITED)
 
@@ -101,12 +110,28 @@ def _next_row(prev: list[int]) -> list[int]:
     return [padded[h] + padded[h + 1] + padded[h + 2] for h in range(len(prev) + 1)]
 
 
+# Rows 0..len(_ROWS)-1 of the completion table, shared by every call.
+# A published row is never mutated, and growth publishes a longer copy
+# with one rebinding, so concurrent callers need no lock: at worst they
+# build the same rows twice.
+_ROWS: list[list[int]] = [[1]]
+
+
 def _completion_rows(length: int) -> list[list[int]]:
-    """Rows r = 0..length of the completion table; rows[r][h] counts the
-    ways to finish from h open parentheses in exactly r symbols."""
-    rows = [[1]]
-    for _ in range(length):
-        rows.append(_next_row(rows[-1]))
+    """Rows r = 0..length (at least) of the completion table; rows[r][h]
+    counts the ways to finish from h open parentheses in exactly r symbols.
+
+    Raises LimitExceededError for a length above RANK_LIMIT.
+    """
+    global _ROWS
+    if length > RANK_LIMIT:
+        raise LimitExceededError(f"length {length} exceeds the rank bound {RANK_LIMIT}")
+    rows = _ROWS
+    if len(rows) <= length:
+        rows = rows.copy()
+        while len(rows) <= length:
+            rows.append(_next_row(rows[-1]))
+        _ROWS = rows
     return rows
 
 
@@ -114,13 +139,13 @@ def completion_count(depth: int, remaining: int) -> int:
     """Number of length-``remaining`` suffixes that close ``depth`` open
     parentheses and keep every prefix valid.
 
-    ``completion_count(0, n)`` equals the n-th Motzkin number.
+    ``completion_count(0, n)`` equals the n-th Motzkin number. Raises
+    LimitExceededError for ``remaining`` above RANK_LIMIT.
     """
     if depth < 0 or remaining < 0:
         raise ValueError("depth and remaining must be nonnegative")
-    if depth > remaining:
-        return 0
-    return _completion_rows(remaining)[remaining][depth]
+    row = _completion_rows(remaining)[remaining]
+    return row[depth] if depth <= remaining else 0
 
 
 def _extend(out: list[str], prefix: list[str], depth: int, remaining: int) -> None:
@@ -173,7 +198,8 @@ def rank(word: str) -> int:
     """Zero-based position of a unique word in the series.
 
     Raises NotUniqueError for the empty word, inherited words, and
-    anything that is not a Motzkin word.
+    anything that is not a Motzkin word, then LimitExceededError for a
+    word longer than RANK_LIMIT.
     """
     try:
         kind = classify(word)
@@ -203,16 +229,21 @@ def rank(word: str) -> int:
 
 
 def unrank(index: int) -> str:
-    """The unique word at ``index``; inverse of ``rank``."""
+    """The unique word at ``index``; inverse of ``rank``.
+
+    Raises LimitExceededError when the word would be longer than
+    RANK_LIMIT, that is for an index at or beyond M_RANK_LIMIT.
+    """
     if index < 0:
         raise ValueError("index must be nonnegative")
 
-    # Grow the completion table until the length block containing the
-    # index is known: indexes below completion_count(0, n) have length <= n.
-    rows = _completion_rows(1)
+    # Indexes below completion_count(0, n) = M_n have length <= n: grow
+    # the table a row at a time until it covers the index, then find the
+    # length in the rows built.
+    rows = _ROWS
     while rows[-1][0] <= index:
-        rows.append(_next_row(rows[-1]))
-    n = len(rows) - 1
+        rows = _completion_rows(len(rows))
+    n = bisect_right(rows, index, lo=1, key=itemgetter(0))
 
     if n == 1:
         return ZERO

@@ -82,6 +82,17 @@ class TestRankUnrank:
         assert code == 1
         assert "NOT_UNIQUE" in err
 
+    def test_rank_limit(self, capsys):
+        code, out, err = run(capsys, "rank", "--word", "(" + "0" * (words.RANK_LIMIT - 1) + ")")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: LIMIT_EXCEEDED: ") and err.count("\n") == 1
+
+    def test_unrank_limit(self, capsys):
+        index = sequences.motzkin_numbers(words.RANK_LIMIT)[-1]
+        code, out, err = run(capsys, "unrank", "--index", str(index))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: LIMIT_EXCEEDED: ") and err.count("\n") == 1
+
     def test_unrank(self, capsys):
         code, out, _ = run(capsys, "unrank", "--index", "6")
         assert code == 0

@@ -1,7 +1,13 @@
 import gc
+import json
+import os
 import random
+import subprocess
+import sys
+import time
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +19,8 @@ from motzkin import (
     UnbalancedError,
 )
 from motzkin import sequences, words
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # First twelve elements of the series of unique words.
 SERIES_PREFIX = ["0", "()", "(0)", "()0", "(00)", "(0)0", "(())", "()00", "()()", "(000)", "(00)0", "(0())"]
@@ -31,6 +39,36 @@ def brute_force_words(n):
             if depth == 0:
                 out.append("".join(symbols))
     return out
+
+
+def random_unique_word(rng, n):
+    """A random unique word of length n, drawn by a walk that never calls
+    into the package: each symbol is any one that can still be closed."""
+    if n == 1:
+        return "0"
+    symbols, depth = ["("], 1
+    for remaining in range(n - 2, -1, -1):
+        allowed = [(s, d) for s, d in (("0", 0), ("(", 1), (")", -1)) if 0 <= depth + d <= remaining]
+        symbol, step = rng.choice(allowed)
+        symbols.append(symbol)
+        depth += step
+    return "".join(symbols)
+
+
+def run_fresh(script, arg, payload):
+    """Run ``script`` in a new interpreter, whose completion table starts
+    cold, with ``arg`` in argv and ``payload`` as JSON on stdin; return the
+    JSON it prints."""
+    result = subprocess.run(
+        [sys.executable, "-c", script, arg],
+        input=json.dumps(payload),
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    return json.loads(result.stdout)
 
 
 class TestValidate:
@@ -119,6 +157,10 @@ class TestCompletionCount:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             words.completion_count(-1, 3)
+
+    def test_limit(self):
+        with pytest.raises(LimitExceededError):
+            words.completion_count(0, words.RANK_LIMIT + 1)
 
 
 class TestEnumerate:
@@ -215,6 +257,122 @@ class TestUnrank:
     def test_large_index(self):
         word = words.unrank(10**6)
         assert words.rank(word) == 10**6
+
+
+class TestRankLimit:
+    def test_rank_rejects_long_word(self):
+        with pytest.raises(LimitExceededError):
+            words.rank("(" + "0" * (words.RANK_LIMIT - 1) + ")")
+
+    def test_rank_validates_before_the_limit(self):
+        with pytest.raises(NotUniqueError):
+            words.rank("0" * (words.RANK_LIMIT + 1))
+        with pytest.raises(NotUniqueError):
+            words.rank("(" * (words.RANK_LIMIT + 1))
+
+    def test_unrank_stops_at_the_limit_block(self):
+        motzkin = sequences.motzkin_numbers(words.RANK_LIMIT)
+        with pytest.raises(LimitExceededError):
+            words.unrank(motzkin[-1])
+        with pytest.raises(LimitExceededError):
+            words.unrank(10**3000)
+        assert len(words._ROWS) == words.RANK_LIMIT + 1
+        last = words.unrank(motzkin[-1] - 1)
+        assert len(last) == words.RANK_LIMIT
+        assert words.rank(last) == motzkin[-1] - 1
+
+
+# Ranks and unranks one word and one index per length, in the order of
+# argv[1] and then in the reverse order, from a cold table.
+ORDER_PROBE = """
+import json, sys
+from motzkin import words
+cases = json.load(sys.stdin)
+def run(descending):
+    ordered = sorted(cases, reverse=descending)
+    return sorted([n, words.rank(w), words.unrank(i)] for n, w, i in ordered)
+first = sys.argv[1] == "descending"
+print(json.dumps([run(first), run(not first)]))
+"""
+
+# Four threads start together on a cold table and rank/unrank at
+# interleaved lengths; reports their results and the final table shape.
+THREAD_PROBE = """
+import json, sys, threading
+from motzkin import sequences, words
+jobs = json.load(sys.stdin)
+results = [None] * len(jobs)
+barrier = threading.Barrier(len(jobs))
+def work(t):
+    barrier.wait()
+    results[t] = [words.rank(a) if op == "rank" else words.unrank(a) for op, a in jobs[t]]
+threads = [threading.Thread(target=work, args=(t,)) for t in range(len(jobs))]
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+finally:
+    sys.setswitchinterval(interval)
+rows = words._ROWS
+top = int(sys.argv[1])
+print(json.dumps({
+    "alive": sum(thread.is_alive() for thread in threads),
+    "results": results,
+    "row_sizes_ok": all(len(row) == r + 1 for r, row in enumerate(rows)),
+    "counts_ok": [words.completion_count(0, n) for n in range(top + 1)] == sequences.motzkin_numbers(top),
+}))
+"""
+
+
+class TestSharedTable:
+    def test_call_order_does_not_matter(self):
+        rng = random.Random(300)
+        motzkin = sequences.motzkin_numbers(300)
+        lengths = range(20, 301, 20)
+        cases = [[n, random_unique_word(rng, n), rng.randrange(motzkin[n - 1], motzkin[n])] for n in lengths]
+        runs = run_fresh(ORDER_PROBE, "descending", cases) + run_fresh(ORDER_PROBE, "ascending", cases)
+        assert all(run == runs[0] for run in runs)
+        for (n, word, index), (length, position, unranked) in zip(cases, runs[0]):
+            assert length == n
+            assert motzkin[n - 1] <= position < motzkin[n]
+            assert len(unranked) == n and unranked[0] == "("
+            assert words.rank(unranked) == index
+            assert words.unrank(position) == word
+
+    def test_concurrent_growth(self):
+        rng = random.Random(400)
+        motzkin = sequences.motzkin_numbers(400)
+        lengths = list(range(20, 401, 20))
+        jobs = []
+        for t in range(4):
+            mine = lengths[t::4][:: -1 if t % 2 else 1]
+            calls = []
+            for n in mine:
+                calls.append(["unrank", rng.randrange(motzkin[n - 1], motzkin[n])])
+                calls.append(["rank", random_unique_word(rng, n)])
+            jobs.append(calls)
+        report = run_fresh(THREAD_PROBE, "400", jobs)
+        assert report["alive"] == 0
+        expected = [[words.rank(a) if op == "rank" else words.unrank(a) for op, a in calls] for calls in jobs]
+        assert report["results"] == expected
+        assert report["row_sizes_ok"]
+        assert report["counts_ok"]
+
+    def test_batch_calls_reuse_the_table(self):
+        # Rebuilding the O(n^2) table on every call took about 2 s for this
+        # batch on a 2-CPU VM; reading a shared one costs O(n) per word.
+        rng = random.Random(401)
+        motzkin = sequences.motzkin_numbers(400)
+        batch = [(random_unique_word(rng, 400), rng.randrange(motzkin[399], motzkin[400])) for _ in range(100)]
+        words.rank(batch[0][0])
+        start = time.perf_counter()
+        for word, index in batch:
+            words.rank(word)
+            words.unrank(index)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestBijection:
