@@ -159,8 +159,6 @@ def nat_series(order: int, form: str = "product") -> TruncatedSeries:
     ``product`` evaluates ``x + x^2*M^2``; ``linear`` evaluates
     ``x - 1 + (1-x)*M``. The two agree coefficient by coefficient.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     if form not in NAT_FORMS:
         raise ValueError(f"unknown form {form!r}")
     m = motzkin_series(order, "functional")

@@ -13,12 +13,18 @@ are::
     0, (), (0), ()0, (00), (0)0, (()), ()00, ()(), (000), (00)0, (0()), ...
 
 ``rank`` and ``unrank`` convert between unique words and positions in
-that series. Both walk a completion-count table: ``completion_count(h, r)``
-is the number of ways to finish a word when h parentheses are open and
-r symbols remain, which doubles as an independent route to the Motzkin
+that series. A unique word's position equals its lexicographic index
+among all Motzkin words of its length: for n >= 2 both count M_(n-1)
+words before its block, the shorter unique words on one side
+(U_1 + ... + U_(n-1) = M_(n-1)) and the n-words starting with '0' on
+the other; for n = 1 both are 0. So both functions walk one
+completion-count table from depth 0: ``completion_count(h, r)`` is the
+number of ways to finish a word when h parentheses are open and r
+symbols remain, which doubles as an independent route to the Motzkin
 numbers via ``completion_count(0, n)``. The table is built once per
 process and only grows; lengths above RANK_LIMIT raise
-LimitExceededError.
+LimitExceededError, and ``unrank`` refuses an index of 3^RANK_LIMIT or
+more (M_n < 3^n) without building the table.
 """
 
 from bisect import bisect_right
@@ -208,22 +214,19 @@ def rank(word: str) -> int:
     if kind != UNIQUE:
         raise NotUniqueError(f"{word!r} has no position in the series")
 
+    # The series index is the lexicographic index among all n-words:
+    # count the completions of every smaller symbol at each step.
     n = len(word)
-    if n == 1:
-        return 0
     rows = _completion_rows(n)
-    # Unique words shorter than n are counted by the (n-1)-th Motzkin number.
-    position = rows[n - 1][0]
-    depth = 0
+    position = depth = 0
     for i, symbol in enumerate(word):
         remaining = n - i - 1
-        if i > 0:
-            for candidate in SYMBOLS:
-                if candidate == symbol:
-                    break
-                new_depth = depth + _DELTA[candidate]
-                if 0 <= new_depth <= remaining:
-                    position += rows[remaining][new_depth]
+        for candidate in SYMBOLS:
+            if candidate == symbol:
+                break
+            new_depth = depth + _DELTA[candidate]
+            if 0 <= new_depth <= remaining:
+                position += rows[remaining][new_depth]
         depth += _DELTA[symbol]
     return position
 
@@ -239,19 +242,20 @@ def unrank(index: int) -> str:
 
     # Indexes below completion_count(0, n) = M_n have length <= n: grow
     # the table a row at a time until it covers the index, then find the
-    # length in the rows built.
+    # length in the rows built. M_n < 3^n, so an index of 3^RANK_LIMIT or
+    # more is refused before any row is built.
     rows = _ROWS
+    if rows[-1][0] <= index and index >= 3**RANK_LIMIT:
+        raise LimitExceededError(f"length {RANK_LIMIT + 1} exceeds the rank bound {RANK_LIMIT}")
     while rows[-1][0] <= index:
         rows = _completion_rows(len(rows))
     n = bisect_right(rows, index, lo=1, key=itemgetter(0))
 
-    if n == 1:
-        return ZERO
-    offset = index - rows[n - 1][0]
-    symbols = [OPEN]
-    depth = 1
-    for i in range(1, n):
-        remaining = n - i - 1
+    # The series index is the lexicographic index among all n-words.
+    offset = index
+    symbols = []
+    depth = 0
+    for remaining in range(n - 1, -1, -1):
         for candidate in SYMBOLS:
             new_depth = depth + _DELTA[candidate]
             if new_depth < 0 or new_depth > remaining:

@@ -259,6 +259,21 @@ class TestUnrank:
         assert words.rank(word) == 10**6
 
 
+# Unranks each index read from stdin on a cold table; reports each
+# LimitExceededError message and the number of table rows afterwards.
+FAR_INDEX_PROBE = """
+import json, sys
+from motzkin import LimitExceededError, words
+messages = []
+for index in json.load(sys.stdin):
+    try:
+        words.unrank(index)
+    except LimitExceededError as exc:
+        messages.append(str(exc))
+print(json.dumps({"messages": messages, "rows": len(words._ROWS)}))
+"""
+
+
 class TestRankLimit:
     def test_rank_rejects_long_word(self):
         with pytest.raises(LimitExceededError):
@@ -280,6 +295,12 @@ class TestRankLimit:
         last = words.unrank(motzkin[-1] - 1)
         assert len(last) == words.RANK_LIMIT
         assert words.rank(last) == motzkin[-1] - 1
+
+    def test_unrank_refuses_far_indexes_without_building(self):
+        # M_RANK_LIMIT < 3^RANK_LIMIT, so these indexes need no table row.
+        report = run_fresh(FAR_INDEX_PROBE, "", [10**3000, 3**words.RANK_LIMIT])
+        message = "length 1001 exceeds the rank bound 1000"
+        assert report == {"messages": [message, message], "rows": 1}
 
 
 # Ranks and unranks one word and one index per length, in the order of
@@ -408,4 +429,10 @@ class TestBijection:
         for n in range(1, 9):
             block = words.enumerate_words(n, "unique")
             assert block == [words.unrank(offset + i) for i in range(len(block))]
+            # A series index of length n is also the word's lexicographic
+            # index among all n-words.
+            listing = words.enumerate_words(n, "all")
+            for i in range(offset, offset + len(block)):
+                assert listing[i] == words.unrank(i)
+                assert words.rank(words.unrank(i)) == i
             offset += len(block)
