@@ -22,11 +22,12 @@ from .errors import InternalError, MotzkinError
 CENSUS_LIMIT = 14
 ROUNDTRIP_LIMIT = 10
 
+# CLI flag -> library method, per target; each target's first flag is
+# its default.
 _SERIES_METHODS = {
     "motzkin": {"functional": "functional", "closed": "closed_form"},
     "nat": {"product": "product", "linear": "linear"},
 }
-_SERIES_DEFAULT = {"motzkin": "functional", "nat": "product"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="generating function coefficients 0..N")
     p.add_argument("--target", choices=("motzkin", "nat"), required=True)
     p.add_argument("--order", type=int, required=True, metavar="N")
-    p.add_argument("--method", choices=("functional", "closed", "product", "linear"))
+    p.add_argument("--method", choices=[flag for methods in _SERIES_METHODS.values() for flag in methods])
     p.set_defaults(handler=_cmd_series)
 
     p = sub.add_parser("symdiff", help="difference numbers via the symbolic derivative cycle")
@@ -116,15 +117,12 @@ def _cmd_unrank(args: argparse.Namespace) -> int:
 
 def _cmd_series(args: argparse.Namespace) -> int:
     methods = _SERIES_METHODS[args.target]
-    flag = args.method or _SERIES_DEFAULT[args.target]
+    flag = args.method or next(iter(methods))
     if flag not in methods:
-        print(f"error: USAGE: method '{flag}' does not apply to target '{args.target}'", file=sys.stderr)
-        return 1
-    if args.target == "motzkin":
-        result = series.motzkin_series(args.order, methods[flag])
-    else:
-        result = series.nat_series(args.order, methods[flag])
-    _print_table(result.integer_coefficients(), False)
+        raise ValueError(f"method '{flag}' does not apply to target '{args.target}'")
+    # Looked up per call, so a rebound module attribute is what runs.
+    build = series.motzkin_series if args.target == "motzkin" else series.nat_series
+    _print_table(build(args.order, methods[flag]).integer_coefficients(), False)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Truncated formal power series with exact rational coefficients.
+"""Truncated formal power series with exact coefficients.
 
 ``TruncatedSeries`` keeps coefficients 0..order inclusive; every binary
 operation truncates at the smaller operand's order and is exact on what
@@ -13,9 +13,11 @@ checked coefficient by coefficient:
   avoided because its denominator vanishes at x = 0.
 * ``nat_series`` evaluates either ``x + x^2*M^2`` or ``x - 1 + (1-x)*M``.
 
-Intermediate coefficients are rational in general (division and square
-root introduce denominators), so integrality of the final tables is
-asserted rather than assumed.
+Coefficients are Python ints until ``/`` or ``sqrt`` forms a quotient,
+which is a ``Fraction``; sums and products keep whichever they are
+given. So the functional solver and both ``nat_series`` forms stay in
+the ints, while the closed form passes through rationals, and
+integrality of the final tables is asserted rather than assumed.
 """
 
 from __future__ import annotations
@@ -27,37 +29,39 @@ from .errors import BadConstantTermError, InternalError, ZeroConstantTermError
 
 
 class TruncatedSeries:
-    """Coefficients 0..order of a formal power series, exact rationals.
+    """Coefficients 0..order of a formal power series, each an int or a
+    ``Fraction``: ints until ``/`` or ``sqrt`` forms a quotient.
 
     Two series are equal when their coefficient tuples are, orders
-    included. Operands of the binary operations are series; the one
+    included; ``1 == Fraction(1)``, so the coefficient type does not
+    matter. Operands of the binary operations are series; the one
     scalar form is ``int / series``.
     """
 
     __slots__ = ("coefficients",)
 
-    def __init__(self, coefficients: Iterable[Fraction]):
+    def __init__(self, coefficients: Iterable[int | Fraction]):
         self.coefficients = tuple(coefficients)
 
     @classmethod
     def from_coefficients(cls, values: Iterable[int | Fraction], order: int | None = None) -> "TruncatedSeries":
-        """Build a series from low-order coefficients, padding with zeros
-        (or truncating) to the requested order."""
-        coeffs = [Fraction(v) for v in values]
+        """Build a series from low-order ints and Fractions, kept as given,
+        padding with zeros (or truncating) to the requested order."""
+        coeffs = list(values)
         if order is not None:
             if order < 0:
                 raise ValueError("order must be nonnegative")
             coeffs = coeffs[: order + 1]
-            coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
+            coeffs += [0] * (order + 1 - len(coeffs))
         elif not coeffs:
-            coeffs = [Fraction(0)]
+            coeffs = [0]
         return cls(coeffs)
 
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> int | Fraction:
         return self.coefficients[n]
 
     def __eq__(self, other: object) -> bool:
@@ -75,19 +79,19 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         a, b = self.coefficients, other.coefficients
         order = min(self.order, other.order)
-        return TruncatedSeries(sum((a[k] * b[n - k] for k in range(n + 1)), Fraction(0)) for n in range(order + 1))
+        return TruncatedSeries(sum((a[k] * b[n - k] for k in range(n + 1)), 0) for n in range(order + 1))
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         num, den = self.coefficients, other.coefficients
         order = min(self.order, other.order)
         if den[0] == 0:
             raise ZeroConstantTermError("series division needs a nonzero constant term")
-        quotient: list[Fraction] = []
+        quotient: list[int | Fraction] = []
         for n in range(order + 1):
             acc = num[n]
             for k in range(n):
                 acc -= quotient[k] * den[n - k]
-            quotient.append(acc / den[0])
+            quotient.append(Fraction(acc, den[0]))
         return TruncatedSeries(quotient)
 
     def __rtruediv__(self, numerator: int | Fraction) -> "TruncatedSeries":
@@ -98,12 +102,12 @@ class TruncatedSeries:
         to the operand exactly through the order."""
         if self.coefficients[0] != 1:
             raise BadConstantTermError("series square root needs constant term 1")
-        root: list[Fraction] = [Fraction(1)]
+        root: list[int | Fraction] = [1]
         for n in range(1, self.order + 1):
             acc = self.coefficients[n]
             for k in range(1, n):
                 acc -= root[k] * root[n - k]
-            root.append(acc / 2)
+            root.append(Fraction(acc, 2))
         return TruncatedSeries(root)
 
     def integer_coefficients(self) -> list[int]:
@@ -138,7 +142,7 @@ def motzkin_series(order: int, method: str = "functional") -> TruncatedSeries:
         raise ValueError(f"unknown method {method!r}")
     if method == "functional":
         # Coefficient n of 1 + x*M + x^2*M^2 must equal coefficient n of M.
-        coeffs = [Fraction(1)]
+        coeffs = [1]
         for n in range(1, order + 1):
             acc = coeffs[n - 1]
             for k in range(n - 1):

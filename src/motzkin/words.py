@@ -23,13 +23,14 @@ number of ways to finish a word when h parentheses are open and r
 symbols remain, which doubles as an independent route to the Motzkin
 numbers via ``completion_count(0, n)``. The table is built once per
 process and only grows; lengths above RANK_LIMIT raise
-LimitExceededError, and ``unrank`` refuses an index of 3^RANK_LIMIT or
-more (M_n < 3^n) without building the table.
+LimitExceededError, and ``unrank`` refuses an index of M_RANK_LIMIT or
+more without building the table.
 """
 
 from bisect import bisect_right
 from operator import itemgetter
 
+from . import sequences
 from .errors import (
     BadSymbolError,
     LimitExceededError,
@@ -242,10 +243,11 @@ def unrank(index: int) -> str:
 
     # Indexes below completion_count(0, n) = M_n have length <= n: grow
     # the table a row at a time until it covers the index, then find the
-    # length in the rows built. M_n < 3^n, so an index of 3^RANK_LIMIT or
-    # more is refused before any row is built.
+    # length in the rows built. An index of M_RANK_LIMIT or more is
+    # refused before any row is built; M_n >= 2^(n-1), so the recurrence
+    # runs only for an index of 2^(RANK_LIMIT-1) or more.
     rows = _ROWS
-    if rows[-1][0] <= index and index >= 3**RANK_LIMIT:
+    if rows[-1][0] <= index and index >> (RANK_LIMIT - 1) and index >= sequences.motzkin_numbers(RANK_LIMIT)[-1]:
         raise LimitExceededError(f"length {RANK_LIMIT + 1} exceeds the rank bound {RANK_LIMIT}")
     while rows[-1][0] <= index:
         rows = _completion_rows(len(rows))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from motzkin import DegenerateFractionError, InternalError, cli, sequences, symdiff, words
+from motzkin import DegenerateFractionError, InternalError, cli, sequences, series, symdiff, words
 
 
 def run(capsys, *argv):
@@ -124,9 +124,24 @@ class TestSeries:
         assert out == "1\n1\n2\n4\n9\n"
 
     def test_method_target_mismatch(self, capsys):
-        code, _, err = run(capsys, "series", "--target", "motzkin", "--order", "4", "--method", "linear")
-        assert code == 1
-        assert "does not apply" in err
+        code, out, err = run(capsys, "series", "--target", "motzkin", "--order", "4", "--method", "linear")
+        assert (code, out) == (1, "")
+        assert err == "error: USAGE: method 'linear' does not apply to target 'motzkin'\n"
+        code, out, err = run(capsys, "series", "--target", "nat", "--order", "4", "--method", "closed")
+        assert (code, out) == (1, "")
+        assert err == "error: USAGE: method 'closed' does not apply to target 'nat'\n"
+
+    def test_calls_through_the_module_attribute(self, capsys, monkeypatch):
+        # Wrappers that rebind series.nat_series must see every CLI call.
+        calls = []
+
+        def fake(order, form):
+            calls.append((order, form))
+            return series.TruncatedSeries([7, 8])
+
+        monkeypatch.setattr(series, "nat_series", fake)
+        code, out, _ = run(capsys, "series", "--target", "nat", "--order", "1")
+        assert (code, out, calls) == (0, "7\n8\n", [(1, "product")])
 
 
 class TestSymdiff:

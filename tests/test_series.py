@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,11 @@ class TestDivision:
         result = 2 / (S([1, -1], order=4) + root)
         assert result.integer_coefficients() == [1, 1, 2, 4, 9]
 
+    def test_int_operands_give_an_exact_quotient(self):
+        quotient = S([1], 3) / S([3], 3)
+        assert quotient[0] == Fraction(1, 3)
+        assert type(quotient[0]) is Fraction
+
     def test_zero_constant_term(self):
         with pytest.raises(ZeroConstantTermError):
             S([1, 1]) / S([0, 1])
@@ -80,6 +86,9 @@ class TestSqrt:
         root = S([1, -2, -3], order=3).sqrt()
         assert root == S([1, -1, -2, -2])
         assert root * root == S([1, -2, -3], order=3)
+
+    def test_sqrt_of_int_series_is_exact(self):
+        assert S([1, 1], 3).sqrt() == S([1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)])
 
     def test_sqrt_of_perfect_square(self):
         assert S([1, 2, 1]).sqrt() == S([1, 1, 0])
@@ -158,3 +167,20 @@ class TestNatSeries:
     def test_rejects_bad_form(self):
         with pytest.raises(ValueError):
             nat_series(4, "quotient")
+
+
+# The routes that only add and multiply: the functional solver and both
+# difference forms, which never divide.
+MULTIPLICATION_ROUTES = [(motzkin_series, "functional"), (nat_series, "product"), (nat_series, "linear")]
+
+
+class TestMultiplicationRoutes:
+    @pytest.mark.parametrize("build, method", MULTIPLICATION_ROUTES)
+    def test_coefficients_are_ints(self, build, method):
+        assert all(type(c) is int for c in build(64, method).coefficients)
+
+    @pytest.mark.parametrize("build, method", MULTIPLICATION_ROUTES)
+    def test_order_400_is_fast(self, build, method):
+        start = time.perf_counter()
+        build(400, method)
+        assert time.perf_counter() - start < 0.3

@@ -291,16 +291,17 @@ class TestRankLimit:
             words.unrank(motzkin[-1])
         with pytest.raises(LimitExceededError):
             words.unrank(10**3000)
-        assert len(words._ROWS) == words.RANK_LIMIT + 1
         last = words.unrank(motzkin[-1] - 1)
+        assert len(words._ROWS) == words.RANK_LIMIT + 1
         assert len(last) == words.RANK_LIMIT
         assert words.rank(last) == motzkin[-1] - 1
 
     def test_unrank_refuses_far_indexes_without_building(self):
-        # M_RANK_LIMIT < 3^RANK_LIMIT, so these indexes need no table row.
-        report = run_fresh(FAR_INDEX_PROBE, "", [10**3000, 3**words.RANK_LIMIT])
+        # Every index of M_RANK_LIMIT or more is refused without a table row.
+        first_refused = sequences.motzkin_numbers(words.RANK_LIMIT)[-1]
+        report = run_fresh(FAR_INDEX_PROBE, "", [10**3000, 3**words.RANK_LIMIT, first_refused])
         message = "length 1001 exceeds the rank bound 1000"
-        assert report == {"messages": [message, message], "rows": 1}
+        assert report == {"messages": [message] * 3, "rows": 1}
 
 
 # Ranks and unranks one word and one index per length, in the order of
