@@ -98,10 +98,13 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    listing = words.enumerate_words(args.length, args.filter)
-    for word in listing:
-        print(word)
-    print(f"count={len(listing)}")
+    # One write per block, to the stdout of the moment (it may be
+    # redirected after import); the listing is never held whole.
+    count = 0
+    for block in words.word_blocks(args.length, args.filter):
+        sys.stdout.write("\n".join(block) + "\n")
+        count += len(block)
+    print(f"count={count}")
     return 0
 
 
@@ -150,14 +153,17 @@ def verification_checks(max_n: int) -> Iterator[tuple[str, bool, str]]:
     yield "nat-series-vs-difference-table", nat_product == diff_sub, span
     yield "symdiff-vs-difference-table", cycle == diff_sub, span
 
+    def census(n: int, kind: str) -> int:
+        return sum(map(len, words.word_blocks(n, kind)))
+
     census_max = min(max_n, CENSUS_LIMIT)
     all_ok = unique_ok = inherited_ok = True
     for n in range(census_max + 1):
-        all_ok &= len(words.enumerate_words(n, "all")) == motzkin[n]
+        all_ok &= census(n, "all") == motzkin[n]
         if n >= 1:
-            unique_ok &= len(words.enumerate_words(n, "unique")) == diff_sub[n]
+            unique_ok &= census(n, "unique") == diff_sub[n]
         if n >= 2:
-            inherited_ok &= len(words.enumerate_words(n, "inherited")) == motzkin[n - 1]
+            inherited_ok &= census(n, "inherited") == motzkin[n - 1]
     census_span = f"n <= {census_max}"
     yield "census-all-vs-motzkin-table", all_ok, census_span
     yield "census-unique-vs-difference-table", unique_ok, census_span

@@ -46,8 +46,15 @@ class TruncatedSeries:
     @classmethod
     def from_coefficients(cls, values: Iterable[int | Fraction], order: int | None = None) -> "TruncatedSeries":
         """Build a series from low-order ints and Fractions, kept as given,
-        padding with zeros (or truncating) to the requested order."""
+        padding with zeros (or truncating) to the requested order.
+
+        Raises TypeError, naming the position, for any other value, such
+        as a float.
+        """
         coeffs = list(values)
+        for position, value in enumerate(coeffs):
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(f"coefficient {position} is {value!r}, not an int or Fraction")
         if order is not None:
             if order < 0:
                 raise ValueError("order must be nonnegative")

@@ -12,6 +12,15 @@ are::
 
     0, (), (0), ()0, (00), (0)0, (()), ()00, ()(), (000), (00)0, (0()), ...
 
+``word_blocks`` streams the words of one length in that order, in blocks
+that share a prefix: a pruned depth-first walk over the first half of
+the symbols meets a table of every completion of the second half, built
+by string concatenation alone. ``enumerate_words`` joins the blocks into
+one list; the CLI listing and the ``verify`` census consume them one at
+a time, so neither holds the whole listing. The enumeration never reads
+the completion-count table below, and so stays an independent check of
+it and of the recurrences.
+
 ``rank`` and ``unrank`` convert between unique words and positions in
 that series. A unique word's position equals its lexicographic index
 among all Motzkin words of its length: for n >= 2 both count M_(n-1)
@@ -29,6 +38,7 @@ more without building the table.
 
 from bisect import bisect_right
 from operator import itemgetter
+from typing import Iterator
 
 from . import sequences
 from .errors import (
@@ -51,8 +61,9 @@ EMPTY = "empty"
 UNIQUE = "unique"
 INHERITED = "inherited"
 
-# Exhaustive enumeration is exponential in n; this bound (853467 words of
-# length 16) keeps it comfortable in memory and time.
+# Exhaustive enumeration is exponential in n. Streaming callers hold one
+# block at a time, so this bound (853467 words of length 16) limits the
+# list that enumerate_words returns and the run time of every listing.
 ENUMERATION_LIMIT = 16
 
 # The completion table up to length n holds O(n^3) bits and stays for
@@ -155,19 +166,57 @@ def completion_count(depth: int, remaining: int) -> int:
     return row[depth] if depth <= remaining else 0
 
 
-def _extend(out: list[str], prefix: list[str], depth: int, remaining: int) -> None:
-    """Append to ``out``, in series order, every valid completion of
-    ``prefix`` (at ``depth``) by ``remaining`` more symbols."""
-    if remaining == 0:
-        out.append("".join(prefix))
-        return
-    for symbol in SYMBOLS:
-        new_depth = depth + _DELTA[symbol]
-        if new_depth < 0 or new_depth > remaining - 1:
+def word_blocks(n: int, kind: str = "all") -> Iterator[list[str]]:
+    """The Motzkin words of length ``n`` in series order, as an iterator
+    of nonempty lists of consecutive words; joined, the lists are
+    ``enumerate_words(n, kind)``.
+
+    The arguments are checked at call time, with the same errors as
+    ``enumerate_words``.
+    """
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    if kind not in FILTERS:
+        raise ValueError(f"unknown filter {kind!r}")
+    if n > ENUMERATION_LIMIT:
+        raise LimitExceededError(f"length {n} exceeds the enumeration bound {ENUMERATION_LIMIT}")
+    if kind == "all":
+        return _blocks("", 0, n)
+    if n < 2:  # "0" is the one unique word this short; no inherited one is
+        return iter([[ZERO]] if kind == UNIQUE and n == 1 else [])
+    start = OPEN if kind == UNIQUE else ZERO
+    return _blocks(start, _DELTA[start], n - 1)
+
+
+def _blocks(start: str, depth: int, remaining: int) -> Iterator[list[str]]:
+    """Every completion of ``start`` (at ``depth``) by ``remaining`` more
+    symbols, in series order: one block per valid prefix of the first
+    ``remaining - m`` symbols, joined to every valid last m symbols."""
+    m = remaining // 2
+    # After step j, table[h] lists every completion of j symbols from
+    # depth h in series order: a first symbol '0', '(' or ')' leaves
+    # depth h, h + 1 or h - 1 for the other j - 1.
+    table = [[""]]
+    for j in range(1, m + 1):
+        padded = [[], *table, [], []]
+        table = [
+            [ZERO + s for s in padded[h + 1]] + [OPEN + s for s in padded[h + 2]] + [CLOSE + s for s in padded[h]]
+            for h in range(j + 1)
+        ]
+
+    # Depth-first over the prefixes, popped in series order: a prefix at
+    # depth h with k symbols left before the table part is kept only if
+    # h <= k + m, so every block it reaches is nonempty.
+    stack = [(start, depth, remaining - m)]
+    while stack:
+        prefix, depth, k = stack.pop()
+        if k == 0:
+            yield [prefix + s for s in table[depth]]
             continue
-        prefix.append(symbol)
-        _extend(out, prefix, new_depth, remaining - 1)
-        prefix.pop()
+        for symbol in reversed(SYMBOLS):
+            new_depth = depth + _DELTA[symbol]
+            if 0 <= new_depth <= k - 1 + m:
+                stack.append((prefix + symbol, new_depth, k - 1))
 
 
 def enumerate_words(n: int, kind: str = "all") -> list[str]:
@@ -177,28 +226,7 @@ def enumerate_words(n: int, kind: str = "all") -> list[str]:
     'all' lists every word. Raises LimitExceededError for n above
     ENUMERATION_LIMIT.
     """
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    if kind not in FILTERS:
-        raise ValueError(f"unknown filter {kind!r}")
-    if n > ENUMERATION_LIMIT:
-        raise LimitExceededError(f"length {n} exceeds the enumeration bound {ENUMERATION_LIMIT}")
-
-    if n == 0:
-        return [""] if kind == "all" else []
-    if n == 1:
-        return [] if kind == INHERITED else [ZERO]
-
-    # A module-level DFS: a nested one would hold ``out`` in a reference
-    # cycle, keeping each listing alive until the cyclic collector runs.
-    out: list[str] = []
-    if kind == "all":
-        _extend(out, [], 0, n)
-    elif kind == UNIQUE:
-        _extend(out, [OPEN], 1, n - 1)
-    else:
-        _extend(out, [ZERO], 0, n - 1)
-    return out
+    return [word for block in word_blocks(n, kind) for word in block]
 
 
 def rank(word: str) -> int:

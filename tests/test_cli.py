@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -59,6 +61,63 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--length", str(words.ENUMERATION_LIMIT + 1))
         assert code == 1
         assert "LIMIT_EXCEEDED" in err
+
+
+class CountingSink:
+    """A stdout stand-in that keeps only the line count and the last
+    few characters written."""
+
+    def __init__(self):
+        self.lines = 0
+        self.tail = ""
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        self.tail = (self.tail + text)[-32:]
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def traced_peak(call):
+    """Peak bytes traced by tracemalloc while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreaming:
+    def test_listing_matches_the_list_api(self, capsys):
+        for kind in words.FILTERS:
+            code, out, _ = run(capsys, "enumerate", "--length", "10", "--filter", kind)
+            listing = words.enumerate_words(10, kind)
+            assert code == 0
+            assert out == "".join(f"{w}\n" for w in listing) + f"count={len(listing)}\n"
+
+    def test_enumerate_holds_no_listing(self, monkeypatch):
+        # 853,467 words of length 16; the whole listing takes about 60 MB.
+        sink = CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        peak = traced_peak(lambda: cli.main(["enumerate", "--length", "16"]))
+        assert sink.lines == 853467 + 1
+        assert sink.tail.endswith(")\ncount=853467\n")
+        assert peak < 2_000_000
+
+    def test_verify_census_holds_no_listing(self):
+        checks = []
+        peak = traced_peak(lambda: checks.extend(cli.verification_checks(24)))
+        assert checks and all(ok for _, ok, _ in checks)
+        assert peak < 2_000_000
+
+    def test_enumerate_length_sixteen_is_fast(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", CountingSink())
+        start = time.perf_counter()
+        assert cli.main(["enumerate", "--length", "16"]) == 0
+        assert time.perf_counter() - start < 0.25
 
 
 class TestRankUnrank:
@@ -236,15 +295,15 @@ class TestVerify:
         assert "FAIL symdiff-vs-difference-table" in out
 
     def test_corrupt_enumeration(self, capsys, monkeypatch):
-        original = words.enumerate_words
+        original = words.word_blocks
 
         def corrupted(n, kind="all"):
-            listing = original(n, kind)
+            blocks = list(original(n, kind))
             if kind == "all" and n == 5:
-                listing = listing[:-1]
-            return listing
+                blocks[-1] = blocks[-1][:-1]
+            return iter(blocks)
 
-        monkeypatch.setattr(words, "enumerate_words", corrupted)
+        monkeypatch.setattr(words, "word_blocks", corrupted)
         code, out, _ = run(capsys, "verify", "--max", "8")
         assert code == 2
         assert "FAIL census-all-vs-motzkin-table" in out

@@ -44,6 +44,12 @@ class TestRingOperations:
         assert first != first.coefficients
         assert first != S([1, Fraction(1, 2), 0])
 
+    def test_rejects_non_rational_coefficients(self):
+        for values, position in (([0.5], 0), ([1, 2, 0.5], 2), ([1, "2"], 1), ([1, None, 3], 1)):
+            with pytest.raises(TypeError, match=f"coefficient {position} is "):
+                S(values, 2)
+        assert S([True, Fraction(1, 2)], 2) == S([1, Fraction(1, 2), 0])
+
 
 class TestDivision:
     def test_geometric(self):

@@ -41,6 +41,33 @@ def brute_force_words(n):
     return out
 
 
+def _reference_extend(out, prefix, depth, remaining):
+    """Append to ``out``, in series order, every valid completion of
+    ``prefix`` (at ``depth``) by ``remaining`` more symbols."""
+    if remaining == 0:
+        out.append("".join(prefix))
+        return
+    for symbol, step in (("0", 0), ("(", 1), (")", -1)):
+        new_depth = depth + step
+        if new_depth < 0 or new_depth > remaining - 1:
+            continue
+        prefix.append(symbol)
+        _reference_extend(out, prefix, new_depth, remaining - 1)
+        prefix.pop()
+
+
+def reference_words(n, kind):
+    """Reference listing: one recursive call per node of the word tree."""
+    out = []
+    if kind == "all":
+        _reference_extend(out, [], 0, n)
+    elif n == 1:
+        out = ["0"] if kind == "unique" else []
+    elif n >= 2:
+        _reference_extend(out, ["(" if kind == "unique" else "0"], 1 if kind == "unique" else 0, n - 1)
+    return out
+
+
 def random_unique_word(rng, n):
     """A random unique word of length n, drawn by a walk that never calls
     into the package: each symbol is any one that can still be closed."""
@@ -202,6 +229,21 @@ class TestEnumerate:
     def test_limit(self):
         with pytest.raises(LimitExceededError):
             words.enumerate_words(words.ENUMERATION_LIMIT + 1)
+
+    def test_blocks_match_the_reference_dfs(self):
+        for n in range(15):
+            for kind in words.FILTERS:
+                blocks = list(words.word_blocks(n, kind))
+                assert all(blocks)
+                assert [w for block in blocks for w in block] == reference_words(n, kind)
+
+    def test_blocks_validate_at_call_time(self):
+        with pytest.raises(LimitExceededError):
+            words.word_blocks(words.ENUMERATION_LIMIT + 1)
+        with pytest.raises(ValueError):
+            words.word_blocks(3, "palindromic")
+        with pytest.raises(ValueError):
+            words.word_blocks(-1)
 
     def test_rejects_bad_filter(self):
         with pytest.raises(ValueError):
