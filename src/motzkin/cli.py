@@ -3,14 +3,17 @@
 Every library operation is reachable from a subcommand, and ``verify``
 cross-checks the independent computation routes against each other.
 Output is plain newline-terminated text, deterministic for identical
-invocations. Exit status: 0 success, 1 usage or input error, 2 when
-``verify`` reports any FAIL line, 3 when an internal invariant fails
-(``error: INTERNAL: ...`` or ``error: DEGENERATE: ...``).
+invocations, and integers print in full at any size. Exit status: 0
+success, 1 usage or input error, or a reader that closed the output
+pipe early (silently), 2 when ``verify`` reports any FAIL line, 3 when
+an internal invariant fails (``error: INTERNAL: ...`` or
+``error: DEGENERATE: ...``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Iterator
 
@@ -199,8 +202,25 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    # M_9025 is the first Motzkin number with more than 4300 digits, the
+    # interpreter's default int-to-str limit. Lift it for the handler
+    # only: --index above was parsed under it, and in-process callers
+    # get theirs back.
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        digit_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader is gone (``| head``). Point stdout at devnull so the
+        # interpreter's flush at exit has nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (MotzkinError, ValueError) as exc:
         code = getattr(exc, "code", "USAGE")
         print(f"error: {code}: {exc}", file=sys.stderr)
@@ -208,6 +228,9 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

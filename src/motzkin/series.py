@@ -8,16 +8,17 @@ generating function two more, so the identities between them can be
 checked coefficient by coefficient:
 
 * ``motzkin_series`` solves ``M = 1 + x*M + x^2*M^2`` term by term, or
-  evaluates the closed form ``2 / (1 - x + sqrt(1 - 2x - 3x^2))``. The
-  equivalent closed form ``(1 - x - sqrt(1 - 2x - 3x^2)) / (2x^2)`` is
-  avoided because its denominator vanishes at x = 0.
+  reads the closed form ``M = (1 - x - W) / (2x^2)`` with
+  ``W = sqrt(1 - 2x - 3x^2)`` (OEIS A001006) by coefficient extraction:
+  ``W = 1 - x - 2x^2*M``, so ``M_n = -W_(n+2) / 2``. No series is
+  divided, so the ``x^2`` in the denominator costs nothing.
 * ``nat_series`` evaluates either ``x + x^2*M^2`` or ``x - 1 + (1-x)*M``.
 
-Coefficients are Python ints until ``/`` or ``sqrt`` forms a quotient,
-which is a ``Fraction``; sums and products keep whichever they are
-given. So the functional solver and both ``nat_series`` forms stay in
-the ints, while the closed form passes through rationals, and
-integrality of the final tables is asserted rather than assumed.
+Coefficients are Python ints until a division forms a quotient, which
+is a ``Fraction``; sums and products keep whichever they are given. So
+the functional solver and both ``nat_series`` forms stay in the ints,
+while the closed form passes through rationals, and integrality of the
+final tables is asserted rather than assumed.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ from .errors import BadConstantTermError, InternalError, ZeroConstantTermError
 
 class TruncatedSeries:
     """Coefficients 0..order of a formal power series, each an int or a
-    ``Fraction``: ints until ``/`` or ``sqrt`` forms a quotient.
+    ``Fraction``: ints until a division forms a quotient.
 
     Two series are equal when their coefficient tuples are, orders
     included; ``1 == Fraction(1)``, so the coefficient type does not
-    matter. Operands of the binary operations are series; the one
-    scalar form is ``int / series``.
+    matter. Operands of the binary operations are series only.
     """
 
     __slots__ = ("coefficients",)
@@ -101,9 +101,6 @@ class TruncatedSeries:
             quotient.append(Fraction(acc, den[0]))
         return TruncatedSeries(quotient)
 
-    def __rtruediv__(self, numerator: int | Fraction) -> "TruncatedSeries":
-        return TruncatedSeries.from_coefficients([numerator], self.order) / self
-
     def sqrt(self) -> "TruncatedSeries":
         """Series square root; requires constant term 1 and squares back
         to the operand exactly through the order."""
@@ -139,9 +136,10 @@ def motzkin_series(order: int, method: str = "functional") -> TruncatedSeries:
     """Generating function of the Motzkin numbers through ``order``.
 
     ``functional`` solves ``M = 1 + x*M + x^2*M^2`` coefficient by
-    coefficient; ``closed_form`` evaluates
-    ``2 / (1 - x + sqrt(1 - 2x - 3x^2))`` with series square root and
-    division. Both return the same integer-valued series.
+    coefficient; ``closed_form`` takes ``W = sqrt(1 - 2x - 3x^2)`` to
+    order ``order + 2`` and halves the negated coefficients 2.., which
+    are ``(1 - x - W) / (2x^2)`` read without a series division. Both
+    return the same integer-valued series.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -157,9 +155,8 @@ def motzkin_series(order: int, method: str = "functional") -> TruncatedSeries:
             coeffs.append(acc)
         result = TruncatedSeries(coeffs)
     else:
-        root = TruncatedSeries.from_coefficients([1, -2, -3], order).sqrt()
-        denominator = TruncatedSeries.from_coefficients([1, -1], order) + root
-        result = 2 / denominator
+        root = TruncatedSeries.from_coefficients([1, -2, -3], order + 2).sqrt()
+        result = TruncatedSeries(Fraction(-c, 2) for c in root.coefficients[2:])
     result.integer_coefficients()
     return result
 

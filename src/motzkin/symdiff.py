@@ -138,6 +138,7 @@ class IntPoly:
 
 RADICAND = IntPoly((1, -2, -3))  # r = 1 - 2x - 3x^2
 HALF_DERIVATIVE = IntPoly((-1, -3))  # t = r'/2 = -1 - 3x
+BASE_DENOMINATOR = (IntPoly((1, -1)), IntPoly((1,)))  # D = 1 - x + W, as (p, q) for p + q*W
 
 
 class SqrtFraction(namedtuple("SqrtFraction", "a b c d")):
@@ -154,7 +155,7 @@ class SqrtFraction(namedtuple("SqrtFraction", "a b c d")):
 def initial_fraction() -> SqrtFraction:
     """The seed (2 - 2x) / (1 - x + W) whose derivatives carry the
     difference numbers."""
-    return SqrtFraction(IntPoly((2, -2)), IntPoly(), IntPoly((1, -1)), IntPoly((1,)))
+    return SqrtFraction(IntPoly((2, -2)), IntPoly(), *BASE_DENOMINATOR)
 
 
 def derivative_step(fraction: SqrtFraction) -> SqrtFraction:
@@ -212,8 +213,7 @@ class DerivativeCursor:
         """Differentiate once; returns the new ``current``."""
         k = self.passes
         a, b, c, d = self.current
-        seed = initial_fraction()
-        root_p, root_q = seed.c, seed.d  # D = 1 - x + W
+        root_p, root_q = BASE_DENOMINATOR
         r, t = RADICAND, HALF_DERIVATIVE
         lead_p, lead_q = _extension_mul(a.derivative() * r, b.derivative() * r + b * t, root_p, root_q)
         factor_p = 2 * k * t * root_p - (k + 1) * r

@@ -238,14 +238,50 @@ class TestInternalErrors:
         assert "Traceback" not in err
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("argv", [["enumerate", "--length", "14"], ["numbers", "--max", "5000"]])
+    def test_reader_gone_exits_one_silently(self, argv):
+        # Each listing is megabytes, far beyond a pipe buffer, so the
+        # writer meets the closed pipe.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "motzkin.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == b""
+
+
+class TestLargeIntegers:
+    def test_prints_beyond_the_digit_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(sequences, "motzkin_numbers", lambda max_n: [10**5000])
+        # Interpreters older than the digit limit have no getter.
+        digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = digit_limit()
+        code, out, err = run(capsys, "numbers", "--max", "0")
+        assert (code, out, err) == (0, "1" + "0" * 5000 + "\n", "")
+        assert digit_limit() == before
+
+    def test_index_parsing_keeps_the_digit_limit(self, capsys):
+        code, out, err = run(capsys, "unrank", "--index", "9" * 5000)
+        assert (code, out) == (1, "")
+        assert "invalid int value" in err
+
+
 class TestStartup:
     def test_import_loads_no_dataclasses_or_inspect(self):
         # Every CLI call is a fresh process, so import weight is startup time.
-        src = Path(__file__).resolve().parent.parent / "src"
         probe = "import sys, motzkin; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
         result = subprocess.run(
             [sys.executable, "-S", "-c", probe],
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True,
             text=True,
             check=True,

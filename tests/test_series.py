@@ -63,8 +63,12 @@ class TestDivision:
 
     def test_closed_form_anchor(self):
         root = S([1, -2, -3], order=4).sqrt()
-        result = 2 / (S([1, -1], order=4) + root)
+        result = S([2], order=4) / (S([1, -1], order=4) + root)
         assert result.integer_coefficients() == [1, 1, 2, 4, 9]
+
+    def test_no_scalar_dividend(self):
+        with pytest.raises(TypeError):
+            2 / S([1], 3)
 
     def test_int_operands_give_an_exact_quotient(self):
         quotient = S([1], 3) / S([3], 3)
@@ -131,6 +135,18 @@ class TestMotzkinSeries:
 
     def test_methods_agree_to_64(self):
         assert motzkin_series(64, "functional") == motzkin_series(64, "closed_form")
+
+    def test_methods_agree_to_400(self):
+        assert motzkin_series(400, "functional") == motzkin_series(400, "closed_form")
+
+    def test_closed_form_divides_no_series(self, monkeypatch):
+        # The closed form reads (1 - x - W) / (2x^2) off the coefficients
+        # of W; it shares no division with anything it is checked against.
+        def refuse(self, other):
+            raise AssertionError("series division called")
+
+        monkeypatch.setattr(TruncatedSeries, "__truediv__", refuse)
+        assert motzkin_series(64, "closed_form") == motzkin_series(64, "functional")
 
     def test_functional_equation_residual(self):
         for method in ("functional", "closed_form"):
