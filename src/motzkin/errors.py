@@ -42,7 +42,9 @@ class NotUniqueError(MotzkinError):
 
 
 class LimitExceededError(MotzkinError):
-    """Exhaustive enumeration was requested beyond the practical bound."""
+    """A request beyond a practical bound: exhaustive enumeration past
+    ENUMERATION_LIMIT, or ``rank``, ``unrank`` or ``completion_count``
+    past the completion-table bound RANK_LIMIT."""
 
     code = "LIMIT_EXCEEDED"
 

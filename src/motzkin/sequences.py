@@ -44,8 +44,6 @@ def difference_numbers(n_max: int, method: str = "subtraction") -> list[int]:
     if method not in ("subtraction", "convolution"):
         raise ValueError(f"unknown method {method!r}")
     values = [0, 1][: n_max + 1]
-    if n_max < 2:
-        return values
     motzkin = motzkin_numbers(n_max)
     if method == "subtraction":
         for n in range(2, n_max + 1):

@@ -68,7 +68,7 @@ class IntPoly:
         return self.coefficients[0] if self.coefficients else 0
 
     def content(self) -> int:
-        return math.gcd(*self.coefficients) if self.coefficients else 0
+        return math.gcd(*self.coefficients)
 
     def derivative(self) -> "IntPoly":
         return IntPoly(n * c for n, c in enumerate(self.coefficients) if n)
@@ -94,8 +94,6 @@ class IntPoly:
     def __mul__(self, other: "IntPoly | int") -> "IntPoly":
         if isinstance(other, int):
             return IntPoly(other * c for c in self.coefficients)
-        if self.is_zero or other.is_zero:
-            return IntPoly()
         out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
         for i, x in enumerate(self.coefficients):
             for j, y in enumerate(other.coefficients):
@@ -109,14 +107,10 @@ class IntPoly:
         """Quotient self / divisor, which must be exact in Z[x]."""
         if divisor.is_zero:
             raise InternalError("polynomial division by zero")
-        if self.is_zero:
-            return IntPoly()
         rem = list(self.coefficients)
         div = divisor.coefficients
         lead = div[-1]
-        if len(rem) < len(div):
-            raise InternalError("inexact polynomial division")
-        quot = [0] * (len(rem) - len(div) + 1)
+        quot = [0] * max(len(rem) - len(div) + 1, 0)
         for i in range(len(quot) - 1, -1, -1):
             head = rem[i + len(div) - 1]
             q, r = divmod(head, lead)

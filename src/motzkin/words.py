@@ -13,13 +13,14 @@ are::
     0, (), (0), ()0, (00), (0)0, (()), ()00, ()(), (000), (00)0, (0()), ...
 
 ``word_blocks`` streams the words of one length in that order, in blocks
-that share a prefix: a pruned depth-first walk over the first half of
-the symbols meets a table of every completion of the second half, built
-by string concatenation alone. ``enumerate_words`` joins the blocks into
-one list; the CLI listing and the ``verify`` census consume them one at
-a time, so neither holds the whole listing. The enumeration never reads
-the completion-count table below, and so stays an independent check of
-it and of the recurrences.
+that share a prefix: the valid prefixes of the first half of the symbols,
+expanded level by level in series order, meet a table of every completion
+of the second half, both built by string concatenation alone. A listing
+holds one prefix level and the table, each O(3^(n/2)) short strings.
+``enumerate_words`` joins the blocks into one list; the CLI listing and
+the ``verify`` census consume them one at a time, so neither holds the
+whole listing. The enumeration never reads the completion-count table
+below, and so stays an independent check of it and of the recurrences.
 
 ``rank`` and ``unrank`` convert between unique words and positions in
 that series. A unique word's position equals its lexicographic index
@@ -204,19 +205,14 @@ def _blocks(start: str, depth: int, remaining: int) -> Iterator[list[str]]:
             for h in range(j + 1)
         ]
 
-    # Depth-first over the prefixes, popped in series order: a prefix at
-    # depth h with k symbols left before the table part is kept only if
-    # h <= k + m, so every block it reaches is nonempty.
-    stack = [(start, depth, remaining - m)]
-    while stack:
-        prefix, depth, k = stack.pop()
-        if k == 0:
-            yield [prefix + s for s in table[depth]]
-            continue
-        for symbol in reversed(SYMBOLS):
-            new_depth = depth + _DELTA[symbol]
-            if 0 <= new_depth <= k - 1 + m:
-                stack.append((prefix + symbol, new_depth, k - 1))
+    # Level by level over the prefixes: extending each prefix of a level
+    # in series order by '0', '(' and ')' keeps the next level in series
+    # order. A new prefix at depth d with k symbols still to come before
+    # the table part is kept only if d <= k + m, so every block is nonempty.
+    prefixes = [(start, depth)]
+    for k in range(remaining - m - 1, -1, -1):
+        prefixes = [(prefix + s, d) for prefix, h in prefixes for s in SYMBOLS if 0 <= (d := h + _DELTA[s]) <= k + m]
+    yield from ([prefix + s for s in table[h]] for prefix, h in prefixes)
 
 
 def enumerate_words(n: int, kind: str = "all") -> list[str]:

@@ -52,6 +52,8 @@ class TestIntPoly:
 
     def test_mul_by_zero(self):
         assert (IntPoly() * IntPoly((1, 2, 3))).is_zero
+        assert (IntPoly((1, 2)) * IntPoly()).is_zero
+        assert (IntPoly() * IntPoly()).is_zero
 
     def test_at_zero(self):
         assert IntPoly((2, -2)).at_zero() == 2
@@ -75,6 +77,9 @@ class TestIntPoly:
             IntPoly((1, 1)).exact_div(IntPoly((2,)))
         with pytest.raises(InternalError):
             IntPoly((1, 1)).exact_div(IntPoly())
+        assert IntPoly().exact_div(IntPoly((1, 1))) == IntPoly()
+        with pytest.raises(InternalError, match="inexact polynomial division"):
+            IntPoly((1,)).exact_div(IntPoly((1, 1)))
 
 
 class TestInitialFraction:
