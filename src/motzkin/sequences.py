@@ -39,12 +39,10 @@ def difference_numbers(n_max: int, method: str = "subtraction") -> list[int]:
     * ``subtraction``: ``U_n = M_n - M_{n-1}``
     * ``convolution``: ``U_n = sum(M_k * M_{n-2-k}, k=0..n-2)``
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     if method not in ("subtraction", "convolution"):
         raise ValueError(f"unknown method {method!r}")
+    motzkin = motzkin_numbers(n_max)  # also rejects a negative n_max
     values = [0, 1][: n_max + 1]
-    motzkin = motzkin_numbers(n_max)
     if method == "subtraction":
         for n in range(2, n_max + 1):
             values.append(motzkin[n] - motzkin[n - 1])

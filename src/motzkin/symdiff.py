@@ -3,10 +3,16 @@
 A ``SqrtFraction`` holds four integer polynomials a, b, c, d and stands
 for ``(a + b*W) / (c + d*W)`` where ``W = sqrt(r)`` and the radicand
 ``r = 1 - 2x - 3x^2`` is fixed. Differentiating the seed fraction
-``(2 - 2x) / (1 - x + W)`` repeatedly and evaluating at zero yields the
-difference numbers: ``U_k`` is the k-th derivative value over k!, with
-the two lowest coefficients adjusted for the ``x - 1`` summand that the
-seed fraction omits.
+``(2 - 2x) / D`` with ``D = 1 - x + W`` repeatedly and evaluating at
+zero yields the difference numbers. Since
+
+    (1 - x + W)(1 - x - W) = (1 - x)^2 - r = 4x^2,
+
+``1/D = (1 - x - W) / (4x^2) = M/2`` for the Motzkin series M, so the
+seed is ``(1 - x) * M``. Its k-th Taylor coefficient (k-th derivative
+at zero over k!) is ``M_k - M_(k-1)``, which is ``U_k`` for k >= 2;
+at k = 0 and 1 it is 1 and 0, so ``nat_coefficients`` adds -1 and +1
+there (``U_0 = 0``, ``U_1 = 1``).
 
 ``derivative_step`` performs one differentiation with the direct
 update (conjugate-free, obtained by clearing the 1/W terms):
@@ -20,14 +26,25 @@ where ``t = r'/2``. It is the literal cycle, kept as an independent
 reference: iterating it squares the denominator, so every polynomial
 degree doubles per pass.
 
-``DerivativeCursor`` instead keeps the k-th derivative over the
-canonical denominator ``r^k * D^(k+1)`` with ``D = 1 - x + W``. The
-quotient rule on ``N / (r^k * D^(k+1))`` with ``N = a + b*W`` gives the
-next numerator directly over ``r^(k+1) * D^(k+2)``:
+``DerivativeCursor`` instead keeps the k-th derivative as
+``N / (r^k * D^(k+1))`` with ``N = a + b*W`` and ``c + d*W`` equal to
+that denominator. With ``r*D' = tW - r``, the quotient rule grouped
+as
 
-    N_new = (a'r + (b'r + bt)W) D - N (2kt D + (k+1)(tW - r))
+    N_new = (P + Q*W) D - (k+1) N (tW - r)
+    P = a'r - 2kt*a,  Q = b'r + bt - 2kt*b
 
-so degrees grow linearly in k and no step divides.
+gives the next numerator over ``r^(k+1) * D^(k+2)``. Writing
+``D = s + W`` with ``s = 1 - x``, a product by D is
+``(P + Q*W) D = sP + rQ + (sQ + P)W``, so
+
+    a_new = sP + rQ + (k+1) r (a - tb)
+    b_new = sQ + P - (k+1)(ta - rb)
+    c_new = r (sc + rd)
+    d_new = r (sd + c)
+
+Every product is by s, r, t or an integer, degrees grow linearly in k
+and no step divides.
 """
 
 from __future__ import annotations
@@ -132,7 +149,7 @@ class IntPoly:
 
 RADICAND = IntPoly((1, -2, -3))  # r = 1 - 2x - 3x^2
 HALF_DERIVATIVE = IntPoly((-1, -3))  # t = r'/2 = -1 - 3x
-BASE_DENOMINATOR = (IntPoly((1, -1)), IntPoly((1,)))  # D = 1 - x + W, as (p, q) for p + q*W
+ONE_MINUS_X = IntPoly((1, -1))  # s = 1 - x, so D = s + W
 
 
 class SqrtFraction(namedtuple("SqrtFraction", "a b c d")):
@@ -149,7 +166,7 @@ class SqrtFraction(namedtuple("SqrtFraction", "a b c d")):
 def initial_fraction() -> SqrtFraction:
     """The seed (2 - 2x) / (1 - x + W) whose derivatives carry the
     difference numbers."""
-    return SqrtFraction(IntPoly((2, -2)), IntPoly(), *BASE_DENOMINATOR)
+    return SqrtFraction(IntPoly((2, -2)), IntPoly(), ONE_MINUS_X, IntPoly((1,)))
 
 
 def derivative_step(fraction: SqrtFraction) -> SqrtFraction:
@@ -184,11 +201,6 @@ def evaluate_at_zero(fraction: SqrtFraction) -> Fraction:
     return Fraction(fraction.a.at_zero() + fraction.b.at_zero(), denominator)
 
 
-def _extension_mul(p: IntPoly, q: IntPoly, u: IntPoly, v: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """(p + q*W) * (u + v*W) as a (polynomial, W-coefficient) pair."""
-    return p * u + q * v * RADICAND, p * v + q * u
-
-
 class DerivativeCursor:
     """Stepwise derivatives of the seed fraction.
 
@@ -207,14 +219,13 @@ class DerivativeCursor:
         """Differentiate once; returns the new ``current``."""
         k = self.passes
         a, b, c, d = self.current
-        root_p, root_q = BASE_DENOMINATOR
-        r, t = RADICAND, HALF_DERIVATIVE
-        lead_p, lead_q = _extension_mul(a.derivative() * r, b.derivative() * r + b * t, root_p, root_q)
-        factor_p = 2 * k * t * root_p - (k + 1) * r
-        factor_q = 2 * k * t * root_q + (k + 1) * t
-        tail_p, tail_q = _extension_mul(a, b, factor_p, factor_q)
-        new_c, new_d = _extension_mul(c * r, d * r, root_p, root_q)
-        self.current = SqrtFraction(lead_p - tail_p, lead_q - tail_q, new_c, new_d)
+        r, s, t = RADICAND, ONE_MINUS_X, HALF_DERIVATIVE
+        ta, tb = t * a, t * b
+        p = r * a.derivative() - 2 * k * ta
+        q = r * b.derivative() + (1 - 2 * k) * tb
+        new_a = s * p + r * q + (k + 1) * (r * (a - tb))
+        new_b = s * q + p - (k + 1) * (ta - r * b)
+        self.current = SqrtFraction(new_a, new_b, r * (s * c + r * d), r * (s * d + c))
         self.passes += 1
         return self.current
 

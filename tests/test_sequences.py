@@ -68,3 +68,9 @@ def test_motzkin_table_is_linear_time():
 def test_difference_rejects_bad_method():
     with pytest.raises(ValueError):
         sequences.difference_numbers(5, "magic")
+
+
+@pytest.mark.parametrize("method", ["subtraction", "convolution"])
+def test_difference_rejects_negative(method):
+    with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
+        sequences.difference_numbers(-1, method)

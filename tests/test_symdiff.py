@@ -220,6 +220,42 @@ class TestDerivativeCursor:
             cursor.advance()
             assert cursor.current.c.degree <= 3 * k + 2
 
+    def test_denominator_is_canonical(self):
+        # c + dW must equal r^k * (1 - x + W)^(k+1), built here with a
+        # local product on (p, q) pairs standing for p + q*W.
+        def extension_mul(x, y):
+            (p, q), (u, v) = x, y
+            return p * u + q * v * RADICAND, p * v + q * u
+
+        base = (IntPoly((1, -1)), IntPoly((1,)))
+        power, radicand_power = base, IntPoly((1,))
+        cursor = DerivativeCursor()
+        for k in range(21):
+            if k:
+                cursor.advance()
+                power = extension_mul(power, base)
+                radicand_power = radicand_power * RADICAND
+            assert cursor.current.c == radicand_power * power[0]
+            assert cursor.current.d == radicand_power * power[1]
+
+    def test_products_per_pass(self, monkeypatch):
+        # Each pass multiplies only by s = 1 - x, r, t or an integer,
+        # which takes 18 IntPoly products.
+        products = 0
+        original = IntPoly.__mul__
+
+        def counting_mul(self, other):
+            nonlocal products
+            products += 1
+            return original(self, other)
+
+        monkeypatch.setattr(IntPoly, "__mul__", counting_mul)
+        cursor = DerivativeCursor()
+        for _ in range(10):
+            before = products
+            cursor.advance()
+            assert products - before <= 18
+
     def test_matches_verbatim_cycle(self):
         # One literal step from the cursor's fraction at every pass: the
         # raw update shares no code with the cursor's quotient-rule update.
