@@ -8,6 +8,8 @@ three-term recurrence of Donaghey & Shapiro ("Motzkin numbers", JCTA 23,
 difference method and in the functional series checks it independently.
 """
 
+from operator import mul
+
 from .errors import InternalError
 
 
@@ -47,6 +49,10 @@ def difference_numbers(n_max: int, method: str = "subtraction") -> list[int]:
         for n in range(2, n_max + 1):
             values.append(motzkin[n] - motzkin[n - 1])
     else:
+        # The sum is symmetric in k <-> n-2-k: add its first h terms twice,
+        # and the middle term M_h^2 once when it has one (n even).
         for n in range(2, n_max + 1):
-            values.append(sum(motzkin[k] * motzkin[n - 2 - k] for k in range(n - 1)))
+            h = (n - 1) // 2
+            total = 2 * sum(map(mul, motzkin[:h], reversed(motzkin[n - 1 - h : n - 1])))
+            values.append(total + motzkin[h] ** 2 if n % 2 == 0 else total)
     return values

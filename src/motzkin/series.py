@@ -14,11 +14,12 @@ checked coefficient by coefficient:
   divided, so the ``x^2`` in the denominator costs nothing.
 * ``nat_series`` evaluates either ``x + x^2*M^2`` or ``x - 1 + (1-x)*M``.
 
-Coefficients are Python ints until a division forms a quotient, which
-is a ``Fraction``; sums and products keep whichever they are given. So
-the functional solver and both ``nat_series`` forms stay in the ints,
-while the closed form passes through rationals, and integrality of the
-final tables is asserted rather than assumed.
+Coefficients are Python ints until a series division forms a quotient
+or a square root halves an odd value; either gives a ``Fraction``. Sums
+and products keep whichever they are given. So the functional solver,
+both ``nat_series`` forms and the closed form, whose every halving is
+exact, stay in the ints, and integrality of the final tables is asserted
+rather than assumed.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .errors import BadConstantTermError, InternalError, ZeroConstantTermError
 
 class TruncatedSeries:
     """Coefficients 0..order of a formal power series, each an int or a
-    ``Fraction``: ints until a division forms a quotient.
+    ``Fraction``: ints until a division forms a quotient or a square
+    root halves an odd value.
 
     Two series are equal when their coefficient tuples are, orders
     included; ``1 == Fraction(1)``, so the coefficient type does not
@@ -103,7 +105,8 @@ class TruncatedSeries:
 
     def sqrt(self) -> "TruncatedSeries":
         """Series square root; requires constant term 1 and squares back
-        to the operand exactly through the order."""
+        to the operand exactly through the order. A coefficient stays an
+        int while each halving it takes is exact."""
         if self.coefficients[0] != 1:
             raise BadConstantTermError("series square root needs constant term 1")
         root: list[int | Fraction] = [1]
@@ -111,7 +114,7 @@ class TruncatedSeries:
             acc = self.coefficients[n]
             for k in range(1, n):
                 acc -= root[k] * root[n - k]
-            root.append(Fraction(acc, 2))
+            root.append(_half(acc))
         return TruncatedSeries(root)
 
     def integer_coefficients(self) -> list[int]:
@@ -126,6 +129,16 @@ class TruncatedSeries:
         if self.order >= 8:
             shown += ", ..."
         return f"TruncatedSeries([{shown}], order={self.order})"
+
+
+def _half(value: int | Fraction) -> int | Fraction:
+    """``value / 2``: an int when ``value`` is an even int, else a
+    ``Fraction``, so no gcd is paid for an exact halving."""
+    if isinstance(value, int):
+        quotient, remainder = divmod(value, 2)
+        if not remainder:
+            return quotient
+    return Fraction(value, 2)
 
 
 MOTZKIN_METHODS = ("functional", "closed_form")
@@ -156,7 +169,7 @@ def motzkin_series(order: int, method: str = "functional") -> TruncatedSeries:
         result = TruncatedSeries(coeffs)
     else:
         root = TruncatedSeries.from_coefficients([1, -2, -3], order + 2).sqrt()
-        result = TruncatedSeries(Fraction(-c, 2) for c in root.coefficients[2:])
+        result = TruncatedSeries(_half(-c) for c in root.coefficients[2:])
     result.integer_coefficients()
     return result
 

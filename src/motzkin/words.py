@@ -31,10 +31,17 @@ the other; for n = 1 both are 0. So both functions walk one
 completion-count table from depth 0: ``completion_count(h, r)`` is the
 number of ways to finish a word when h parentheses are open and r
 symbols remain, which doubles as an independent route to the Motzkin
-numbers via ``completion_count(0, n)``. The table is built once per
-process and only grows; lengths above RANK_LIMIT raise
-LimitExceededError, and ``unrank`` refuses an index of M_RANK_LIMIT or
-more without building the table.
+numbers via ``completion_count(0, n)``. After a prefix at depth h with
+r symbols still to come after the next one, the words that continue
+with '0', '(' or ')' form three consecutive blocks of
+``completion_count(h, r)``, ``completion_count(h + 1, r)`` and
+``completion_count(h - 1, r)`` words. So an index is one block sum per
+symbol: '(' skips the '0' block, ')' skips the '0' and '(' blocks, and
+'0' skips nothing. ``rank`` adds those sums; ``unrank`` compares the
+offset left with the '0' block, then with the '(' block, and takes ')'
+past both. The table is built once per process and only grows; lengths
+above RANK_LIMIT raise LimitExceededError, and ``unrank`` refuses an
+index of M_RANK_LIMIT or more without building the table.
 """
 
 from bisect import bisect_right
@@ -83,11 +90,14 @@ def validate(text: str) -> str:
     """
     depth = 0
     for position, symbol in enumerate(text):
-        if symbol not in _DELTA:
+        if symbol == OPEN:
+            depth += 1
+        elif symbol == CLOSE:
+            if not depth:
+                raise PrefixViolationError(f"prefix {text[: position + 1]!r} closes below depth zero")
+            depth -= 1
+        elif symbol != ZERO:
             raise BadSymbolError(f"symbol {symbol!r} at position {position}")
-        depth += _DELTA[symbol]
-        if depth < 0:
-            raise PrefixViolationError(f"prefix {text[: position + 1]!r} closes below depth zero")
     if depth != 0:
         raise UnbalancedError(f"{depth} unmatched '(' in {text!r}")
     return text
@@ -239,20 +249,24 @@ def rank(word: str) -> int:
     if kind != UNIQUE:
         raise NotUniqueError(f"{word!r} has no position in the series")
 
-    # The series index is the lexicographic index among all n-words:
-    # count the completions of every smaller symbol at each step.
+    # The series index is the lexicographic index among all n-words: at
+    # each step, skip the blocks of the smaller symbols. The '0' block
+    # (completions from the same depth) exists while depth <= remaining,
+    # the '(' block while depth < remaining.
     n = len(word)
     rows = _completion_rows(n)
     position = depth = 0
-    for i, symbol in enumerate(word):
-        remaining = n - i - 1
-        for candidate in SYMBOLS:
-            if candidate == symbol:
-                break
-            new_depth = depth + _DELTA[candidate]
-            if 0 <= new_depth <= remaining:
-                position += rows[remaining][new_depth]
-        depth += _DELTA[symbol]
+    for remaining, symbol in zip(range(n - 1, -1, -1), word):
+        if symbol == OPEN:
+            position += rows[remaining][depth]
+            depth += 1
+        elif symbol == CLOSE:
+            if depth < remaining:
+                row = rows[remaining]
+                position += row[depth] + row[depth + 1]
+            elif depth == remaining:
+                position += rows[remaining][depth]
+            depth -= 1
     return position
 
 
@@ -277,21 +291,27 @@ def unrank(index: int) -> str:
         rows = _completion_rows(len(rows))
     n = bisect_right(rows, index, lo=1, key=itemgetter(0))
 
-    # The series index is the lexicographic index among all n-words.
+    # The series index is the lexicographic index among all n-words: at
+    # each step, the offset falls in the '0' block, the '(' block or,
+    # past both, the ')' block.
     offset = index
     symbols = []
     depth = 0
     for remaining in range(n - 1, -1, -1):
-        for candidate in SYMBOLS:
-            new_depth = depth + _DELTA[candidate]
-            if new_depth < 0 or new_depth > remaining:
-                continue
-            block = rows[remaining][new_depth]
+        row = rows[remaining]
+        if depth <= remaining:
+            block = row[depth]
             if offset < block:
-                symbols.append(candidate)
-                depth = new_depth
-                break
+                symbols.append(ZERO)
+                continue
             offset -= block
-        else:  # pragma: no cover - the blocks partition the index range
-            raise AssertionError("completion table exhausted")
+            if depth < remaining:
+                block = row[depth + 1]
+                if offset < block:
+                    symbols.append(OPEN)
+                    depth += 1
+                    continue
+                offset -= block
+        symbols.append(CLOSE)
+        depth -= 1
     return "".join(symbols)

@@ -54,6 +54,17 @@ def test_difference_methods_agree_to_400():
     assert sequences.difference_numbers(400, "subtraction") == sequences.difference_numbers(400, "convolution")
 
 
+@pytest.mark.parametrize("parity", [0, 1])
+def test_convolution_matches_the_full_sum(parity):
+    # The convolution folds its symmetric sum in half; the unfolded sum
+    # and the subtraction must agree with it at every n of this parity.
+    motzkin = sequences.motzkin_numbers(300)
+    table = sequences.difference_numbers(300, "convolution")
+    for n in range(2 + parity, 301, 2):
+        full = sum(motzkin[k] * motzkin[n - 2 - k] for k in range(n - 1))
+        assert table[n] == full == motzkin[n] - motzkin[n - 1]
+
+
 def test_motzkin_matches_functional_series_to_400():
     assert sequences.motzkin_numbers(400) == motzkin_series(400, "functional").integer_coefficients()
 

@@ -191,9 +191,15 @@ class TestNatSeries:
             nat_series(4, "quotient")
 
 
-# The routes that only add and multiply: the functional solver and both
-# difference forms, which never divide.
-MULTIPLICATION_ROUTES = [(motzkin_series, "functional"), (nat_series, "product"), (nat_series, "linear")]
+# The routes that stay in the ints: the functional solver and both
+# difference forms only add and multiply, and the closed form's square
+# root and halving only ever halve even ints.
+MULTIPLICATION_ROUTES = [
+    (motzkin_series, "functional"),
+    (motzkin_series, "closed_form"),
+    (nat_series, "product"),
+    (nat_series, "linear"),
+]
 
 
 class TestMultiplicationRoutes:

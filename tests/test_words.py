@@ -14,6 +14,7 @@ import pytest
 from motzkin import (
     BadSymbolError,
     LimitExceededError,
+    MotzkinWordError,
     NotUniqueError,
     PrefixViolationError,
     UnbalancedError,
@@ -82,6 +83,57 @@ def random_unique_word(rng, n):
     return "".join(symbols)
 
 
+def reference_rows(n):
+    """Rows 0..n of the completion table, built here: rows[r][h] counts
+    the ways to close h open parentheses in exactly r symbols."""
+    rows = [[1]]
+    for r in range(n):
+        padded = [0, *rows[-1], 0, 0]
+        rows.append([padded[h] + padded[h + 1] + padded[h + 2] for h in range(r + 2)])
+    return rows
+
+
+REFERENCE_DELTA = {"0": 0, "(": 1, ")": -1}
+
+
+def reference_rank(word, rows):
+    """Lexicographic index of ``word`` among the words of its length: at
+    each step, add the completions of every smaller symbol that can still
+    be closed."""
+    n = len(word)
+    position = depth = 0
+    for i, symbol in enumerate(word):
+        remaining = n - i - 1
+        for candidate in "0()":
+            if candidate == symbol:
+                break
+            new_depth = depth + REFERENCE_DELTA[candidate]
+            if 0 <= new_depth <= remaining:
+                position += rows[remaining][new_depth]
+        depth += REFERENCE_DELTA[symbol]
+    return position
+
+
+def reference_unrank(index, rows):
+    """The word at lexicographic ``index`` of the shortest length n with
+    rows[n][0] > index: at each step, take the first symbol whose block
+    of completions holds the offset."""
+    n = next(n for n, row in enumerate(rows) if row[0] > index)
+    offset, depth, symbols = index, 0, []
+    for remaining in range(n - 1, -1, -1):
+        for candidate in "0()":
+            new_depth = depth + REFERENCE_DELTA[candidate]
+            if new_depth < 0 or new_depth > remaining:
+                continue
+            block = rows[remaining][new_depth]
+            if offset < block:
+                symbols.append(candidate)
+                depth = new_depth
+                break
+            offset -= block
+    return "".join(symbols)
+
+
 def run_fresh(script, arg, payload):
     """Run ``script`` in a new interpreter, whose completion table starts
     cold, with ``arg`` in argv and ``payload`` as JSON on stdin; return the
@@ -98,7 +150,30 @@ def run_fresh(script, arg, payload):
     return json.loads(result.stdout)
 
 
+# validate's verdicts as first recorded: the error type and message of
+# the first fault from the left, or None for a word.
+VALIDATE_VERDICTS = [
+    ("", None, None),
+    (")", PrefixViolationError, "prefix ')' closes below depth zero"),
+    (")x", PrefixViolationError, "prefix ')' closes below depth zero"),
+    ("x)", BadSymbolError, "symbol 'x' at position 0"),
+    ("(()", UnbalancedError, "1 unmatched '(' in '(()'"),
+    ("0a(", BadSymbolError, "symbol 'a' at position 1"),
+    ("())(", PrefixViolationError, "prefix '())' closes below depth zero"),
+]
+
+
 class TestValidate:
+    @pytest.mark.parametrize("text, error, message", VALIDATE_VERDICTS)
+    def test_verdict(self, text, error, message):
+        if error is None:
+            assert words.validate(text) == text
+            return
+        with pytest.raises(MotzkinWordError) as caught:
+            words.validate(text)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
     def test_accepts_series_member(self):
         assert words.validate("(0)0") == "(0)0"
 
@@ -466,6 +541,22 @@ class TestBijection:
                 assert len(word) == n
                 assert words.classify(word) == "unique"
                 assert words.rank(word) == index
+
+    def test_matches_the_reference_walk_at_long_lengths(self):
+        # 15 indexes per length, the block's first and last among them,
+        # and as many random words, against the per-candidate walk.
+        rng = random.Random(2020)
+        rows = reference_rows(400)
+        for n in range(20, 401, 20):
+            first, end = rows[n - 1][0], rows[n][0]
+            indexes = [first, end - 1] + [rng.randrange(first, end) for _ in range(13)]
+            for index in indexes:
+                word = reference_unrank(index, rows)
+                assert len(word) == n and word[0] == "("
+                assert words.unrank(index) == word
+                assert words.rank(word) == index
+                other = random_unique_word(rng, n)
+                assert words.rank(other) == reference_rank(other, rows)
 
     def test_enumerate_matches_unrank_blocks(self):
         offset = 0

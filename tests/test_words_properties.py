@@ -1,5 +1,5 @@
-"""Property tests of the rank/unrank bijection on unique words of
-length up to 400."""
+"""Property tests of the rank/unrank bijection, and of the order it
+follows, on unique words of length up to 400."""
 
 import pytest
 
@@ -44,3 +44,11 @@ def test_rank_inverts_unrank(index):
 @given(unique_words)
 def test_unrank_inverts_rank(word):
     assert words.unrank(words.rank(word)) == word
+
+
+@PROPERTY
+@given(st.integers(0, END - 2).flatmap(lambda i: st.tuples(st.just(i), st.integers(i + 1, END - 1))))
+def test_unrank_is_increasing(pair):
+    # compare orders by length and symbols alone, without the table.
+    first, second = pair
+    assert words.compare(words.unrank(first), words.unrank(second)) == -1
