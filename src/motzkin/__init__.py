@@ -4,6 +4,10 @@ Counting sequences, ordered enumeration with rank/unrank, truncated
 power series realizations of the generating functions, and symbolic
 derivative extraction of the difference numbers, all cross-checkable
 against each other.
+
+Importing the package loads only the error types. Every other public
+name loads its defining submodule on first use (PEP 562), so a process
+pays only for the submodules it touches.
 """
 
 from .errors import (
@@ -20,30 +24,45 @@ from .errors import (
     ZeroConstantTermError,
     ZeroDenominatorError,
 )
-from .sequences import difference_numbers, motzkin_numbers
-from .series import TruncatedSeries, motzkin_series, nat_series
-from .symdiff import (
-    DerivativeCursor,
-    IntPoly,
-    SqrtFraction,
-    content_reduce,
-    derivative_step,
-    evaluate_at_zero,
-    fraction_series,
-    initial_fraction,
-    nat_coefficients,
-)
-from .words import (
-    ENUMERATION_LIMIT,
-    classify,
-    compare,
-    completion_count,
-    enumerate_words,
-    rank,
-    sort_key,
-    unrank,
-    validate,
-)
+
+# Every other public name, by the submodule that defines it; __getattr__
+# imports the submodule on first use and caches the name in globals().
+_SUBMODULES = {
+    "difference_numbers": "sequences",
+    "motzkin_numbers": "sequences",
+    "TruncatedSeries": "series",
+    "motzkin_series": "series",
+    "nat_series": "series",
+    "DerivativeCursor": "symdiff",
+    "IntPoly": "symdiff",
+    "SqrtFraction": "symdiff",
+    "content_reduce": "symdiff",
+    "derivative_step": "symdiff",
+    "evaluate_at_zero": "symdiff",
+    "fraction_series": "symdiff",
+    "initial_fraction": "symdiff",
+    "nat_coefficients": "symdiff",
+    "ENUMERATION_LIMIT": "words",
+    "classify": "words",
+    "compare": "words",
+    "completion_count": "words",
+    "enumerate_words": "words",
+    "rank": "words",
+    "sort_key": "words",
+    "unrank": "words",
+    "validate": "words",
+}
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_SUBMODULES[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Iterator
+from collections.abc import Iterator
 
-from . import sequences, series, symdiff, words
 from .errors import InternalError, MotzkinError
 
 # Above this length the verify census would enumerate millions of words;
@@ -53,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all Motzkin words of one length in series order")
     p.add_argument("--length", type=int, required=True, metavar="N")
-    p.add_argument("--filter", choices=words.FILTERS, default="all")
+    p.add_argument("--filter", choices=("all", "unique", "inherited"), default="all")
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("rank", help="position of a unique word in the series")
@@ -90,12 +89,18 @@ def _print_table(values: list[int], bfile: bool) -> None:
         print(f"{n} {value}" if bfile else value)
 
 
+# Each handler imports only the module it runs, so a process loads no
+# more of the package than its subcommand needs.
 def _cmd_numbers(args: argparse.Namespace) -> int:
+    from . import sequences
+
     _print_table(sequences.motzkin_numbers(args.max), args.bfile)
     return 0
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
+    from . import sequences
+
     _print_table(sequences.difference_numbers(args.max, args.method), args.bfile)
     return 0
 
@@ -103,6 +108,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     # One write per block, to the stdout of the moment (it may be
     # redirected after import); the listing is never held whole.
+    from . import words
+
     count = 0
     for block in words.word_blocks(args.length, args.filter):
         sys.stdout.write("\n".join(block) + "\n")
@@ -112,16 +119,22 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
+    from . import words
+
     print(words.rank(args.word))
     return 0
 
 
 def _cmd_unrank(args: argparse.Namespace) -> int:
+    from . import words
+
     print(words.unrank(args.index))
     return 0
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
+    from . import series
+
     methods = _SERIES_METHODS[args.target]
     flag = args.method or next(iter(methods))
     if flag not in methods:
@@ -133,12 +146,16 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_symdiff(args: argparse.Namespace) -> int:
+    from . import symdiff
+
     _print_table(symdiff.nat_coefficients(args.max), False)
     return 0
 
 
 def verification_checks(max_n: int) -> Iterator[tuple[str, bool, str]]:
     """Yield (name, passed, detail) for the full cross-check matrix."""
+    from . import sequences, series, symdiff, words
+
     motzkin = sequences.motzkin_numbers(max_n)
     diff_sub = sequences.difference_numbers(max_n, "subtraction")
     diff_conv = sequences.difference_numbers(max_n, "convolution")

@@ -24,8 +24,8 @@ rather than assumed.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import BadConstantTermError, InternalError, ZeroConstantTermError
 

@@ -51,8 +51,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import DegenerateFractionError, InternalError, ZeroDenominatorError
 from .series import TruncatedSeries

@@ -39,18 +39,23 @@ with '0', '(' or ')' form three consecutive blocks of
 symbol: '(' skips the '0' block, ')' skips the '0' and '(' blocks, and
 '0' skips nothing. ``rank`` adds those sums; ``unrank`` compares the
 offset left with the '0' block, then with the '(' block, and takes ')'
-past both. The table is built once per process and only grows; lengths
-above RANK_LIMIT raise LimitExceededError, and ``unrank`` refuses an
-index of M_RANK_LIMIT or more without building the table.
+past both. ``rank`` checks the word in the same walk: a symbol outside
+the alphabet, a ')' at depth 0, a '(' that the rest cannot close or a
+nonzero final depth stops it, and ``validate`` then names the fault.
+The table is built once per process and only grows, and only for a
+word already checked, so a malformed word builds no row; lengths above
+RANK_LIMIT raise LimitExceededError, and ``unrank`` refuses an index of
+M_RANK_LIMIT or more without building the table.
 """
 
 from bisect import bisect_right
+from collections.abc import Iterator
 from operator import itemgetter
-from typing import Iterator
 
 from . import sequences
 from .errors import (
     BadSymbolError,
+    InternalError,
     LimitExceededError,
     NotUniqueError,
     MotzkinWordError,
@@ -235,13 +240,9 @@ def enumerate_words(n: int, kind: str = "all") -> list[str]:
     return [word for block in word_blocks(n, kind) for word in block]
 
 
-def rank(word: str) -> int:
-    """Zero-based position of a unique word in the series.
-
-    Raises NotUniqueError for the empty word, inherited words, and
-    anything that is not a Motzkin word, then LimitExceededError for a
-    word longer than RANK_LIMIT.
-    """
+def _unique(word: str) -> None:
+    """Raise NotUniqueError unless ``word`` is a unique Motzkin word,
+    reporting the first fault from the left."""
     try:
         kind = classify(word)
     except MotzkinWordError as exc:
@@ -249,25 +250,53 @@ def rank(word: str) -> int:
     if kind != UNIQUE:
         raise NotUniqueError(f"{word!r} has no position in the series")
 
+
+def rank(word: str) -> int:
+    """Zero-based position of a unique word in the series.
+
+    Raises NotUniqueError for the empty word, inherited words, and
+    anything that is not a Motzkin word, then LimitExceededError for a
+    word longer than RANK_LIMIT.
+    """
+    # Only a checked word may grow the table: a malformed word builds no
+    # row, and its fault is reported before a length above RANK_LIMIT.
+    n = len(word)
+    rows = _ROWS
+    if n >= len(rows):
+        _unique(word)
+        rows = _completion_rows(n)
+
     # The series index is the lexicographic index among all n-words: at
     # each step, skip the blocks of the smaller symbols. The '0' block
     # (completions from the same depth) exists while depth <= remaining,
-    # the '(' block while depth < remaining.
-    n = len(word)
-    rows = _completion_rows(n)
-    position = depth = 0
-    for remaining, symbol in zip(range(n - 1, -1, -1), word):
-        if symbol == OPEN:
-            position += rows[remaining][depth]
-            depth += 1
-        elif symbol == CLOSE:
-            if depth < remaining:
-                row = rows[remaining]
-                position += row[depth] + row[depth + 1]
-            elif depth == remaining:
+    # the '(' block while depth < remaining. The same walk checks the
+    # word: '(' must leave a depth that the rest can close, ')' must
+    # close an open '(', and the word must end at depth 0. On any fault,
+    # _unique names it.
+    if word == ZERO or word[:1] == OPEN:
+        position = depth = 0
+        for remaining, symbol in zip(range(n - 1, -1, -1), word):
+            if symbol == OPEN:
+                if depth >= remaining:
+                    break
                 position += rows[remaining][depth]
-            depth -= 1
-    return position
+                depth += 1
+            elif symbol == CLOSE:
+                if not depth:
+                    break
+                if depth < remaining:
+                    row = rows[remaining]
+                    position += row[depth] + row[depth + 1]
+                elif depth == remaining:
+                    position += rows[remaining][depth]
+                depth -= 1
+            elif symbol != ZERO:
+                break
+        else:
+            if not depth:
+                return position
+    _unique(word)
+    raise InternalError(f"rank refused the unique word {word!r}")
 
 
 def unrank(index: int) -> str:

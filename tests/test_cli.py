@@ -1,3 +1,5 @@
+import argparse
+import importlib
 import os
 import subprocess
 import sys
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import motzkin
 from motzkin import DegenerateFractionError, InternalError, cli, sequences, series, symdiff, words
 
 
@@ -275,18 +278,73 @@ class TestLargeIntegers:
         assert "invalid int value" in err
 
 
+def loaded_after(probe):
+    """Run ``probe`` under ``python -S`` (no site preloads) and return the
+    set of module names it prints."""
+    script = f"import sys\n{probe}\nprint(' '.join(sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(result.stdout.split())
+
+
+PACKAGE_MODULES = {f"motzkin.{name}" for name in ("cli", "errors", "sequences", "series", "symdiff", "words")}
+
+
 class TestStartup:
+    # Every CLI call is a fresh process, so import weight is startup time.
     def test_import_loads_no_dataclasses_or_inspect(self):
-        # Every CLI call is a fresh process, so import weight is startup time.
-        probe = "import sys, motzkin; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-        result = subprocess.run(
-            [sys.executable, "-S", "-c", probe],
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert result.stdout == "[]\n"
+        assert not {"dataclasses", "inspect"} & loaded_after("import motzkin")
+
+    def test_import_loads_only_the_errors(self):
+        loaded = loaded_after("import motzkin")
+        assert PACKAGE_MODULES & loaded == {"motzkin.errors"}
+        assert not {"fractions", "decimal", "typing"} & loaded
+
+    def test_numbers_loads_only_the_tables(self):
+        loaded = loaded_after("from motzkin import cli\ncli.main(['numbers', '--max', '3'])")
+        assert not {"motzkin.series", "motzkin.symdiff", "motzkin.words", "fractions"} & loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["numbers", "--max", "3"],
+            ["enumerate", "--length", "3"],
+            ["rank", "--word", "()"],
+            ["series", "--target", "nat", "--order", "3"],
+            ["symdiff", "--max", "3"],
+            ["verify", "--max", "3"],
+        ],
+    )
+    def test_no_command_loads_typing(self, argv):
+        assert "typing" not in loaded_after(f"from motzkin import cli\ncli.main({argv!r})")
+
+    @pytest.mark.parametrize("name", motzkin.__all__)
+    def test_public_name_is_the_defining_module_object(self, name):
+        # The defining module is the one named by the object itself, or
+        # for a plain value the one submodule that holds it.
+        submodules = [importlib.import_module(module) for module in sorted(PACKAGE_MODULES)]
+        holders = [module for module in submodules if name in vars(module)]
+        value = vars(holders[0])[name]
+        home = getattr(value, "__module__", None)
+        owner = sys.modules[home] if home else holders[0]
+        assert home or len(holders) == 1
+        assert getattr(motzkin, name) is vars(owner)[name]
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError):
+            motzkin.no_such_name
+
+    def test_filter_choices_are_the_word_filters(self):
+        parser = cli.build_parser()
+        commands = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+        listing = commands.choices["enumerate"]
+        choices = next(action.choices for action in listing._actions if action.dest == "filter")
+        assert tuple(choices) == words.FILTERS
 
 
 class TestDeterminism:

@@ -14,6 +14,7 @@ import pytest
 from motzkin import (
     BadSymbolError,
     LimitExceededError,
+    MotzkinError,
     MotzkinWordError,
     NotUniqueError,
     PrefixViolationError,
@@ -161,6 +162,60 @@ VALIDATE_VERDICTS = [
     ("0a(", BadSymbolError, "symbol 'a' at position 1"),
     ("())(", PrefixViolationError, "prefix '())' closes below depth zero"),
 ]
+
+
+def checked_walk_verdict(word, rows):
+    """``rank`` as first written: classify the word, then add one block
+    sum per symbol. Returns the position, or the error type and message."""
+    try:
+        kind = words.classify(word)
+    except MotzkinWordError as exc:
+        return NotUniqueError, f"not a Motzkin word: {exc}"
+    if kind != "unique":
+        return NotUniqueError, f"{word!r} has no position in the series"
+    n = len(word)
+    position = depth = 0
+    for remaining, symbol in zip(range(n - 1, -1, -1), word):
+        if symbol == "(":
+            position += rows[remaining][depth]
+            depth += 1
+        elif symbol == ")":
+            if depth < remaining:
+                position += rows[remaining][depth] + rows[remaining][depth + 1]
+            elif depth == remaining:
+                position += rows[remaining][depth]
+            depth -= 1
+    return position
+
+
+# rank's verdicts as first recorded: every fault is NotUniqueError, with
+# the first fault from the left, even above RANK_LIMIT.
+RANK_VERDICTS = [
+    (")(", NotUniqueError, "not a Motzkin word: prefix ')' closes below depth zero"),
+    ("())(", NotUniqueError, "not a Motzkin word: prefix '())' closes below depth zero"),
+    ("(((", NotUniqueError, "not a Motzkin word: 3 unmatched '(' in '((('"),
+    ("(0", NotUniqueError, "not a Motzkin word: 1 unmatched '(' in '(0'"),
+    ("0(", NotUniqueError, "not a Motzkin word: 1 unmatched '(' in '0('"),
+    ("()x", NotUniqueError, "not a Motzkin word: symbol 'x' at position 2"),
+    ("00", NotUniqueError, "'00' has no position in the series"),
+    ("", NotUniqueError, "'' has no position in the series"),
+    ("(" * 1001, NotUniqueError, f"not a Motzkin word: 1001 unmatched '(' in {'(' * 1001!r}"),
+    ("0" * 1001, NotUniqueError, f"{'0' * 1001!r} has no position in the series"),
+]
+
+# Ranks each word read from stdin on a cold table; reports each error
+# type and the number of table rows afterwards.
+GROWTH_PROBE = """
+import json, sys
+from motzkin import MotzkinError, words
+errors = []
+for word in json.load(sys.stdin):
+    try:
+        words.rank(word)
+    except MotzkinError as exc:
+        errors.append(type(exc).__name__)
+print(json.dumps({"errors": errors, "rows": len(words._ROWS)}))
+"""
 
 
 class TestValidate:
@@ -356,6 +411,42 @@ class TestRank:
     def test_rejects_invalid(self):
         with pytest.raises(NotUniqueError):
             words.rank(")(")
+
+    @pytest.mark.parametrize(
+        "word, error, message",
+        RANK_VERDICTS,
+        ids=[word if len(word) < 8 else f"{word[0]}*{len(word)}" for word, _, _ in RANK_VERDICTS],
+    )
+    def test_verdict(self, word, error, message):
+        with pytest.raises(MotzkinError) as caught:
+            words.rank(word)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("table", ["cold", "warm"])
+    def test_matches_the_checked_walk_on_every_short_string(self, table, monkeypatch):
+        # Every string over "0()x" of length <= 8, against classify and
+        # then the block-sum walk; a cold table starts each call at one row.
+        monkeypatch.setattr(words, "_ROWS", [[1]])
+        rows = reference_rows(8)
+        if table == "warm":
+            words.completion_count(0, 8)
+        for n in range(9):
+            for symbols in product("0()x", repeat=n):
+                word = "".join(symbols)
+                if table == "cold":
+                    words._ROWS = [[1]]
+                expected = checked_walk_verdict(word, rows)
+                try:
+                    assert words.rank(word) == expected
+                except MotzkinError as exc:
+                    assert (type(exc), str(exc)) == expected
+                    if table == "cold":
+                        assert len(words._ROWS) == 1
+
+    def test_malformed_words_grow_no_table(self):
+        report = run_fresh(GROWTH_PROBE, "", [")(" * 500, "(" * 999 + "0"])
+        assert report == {"errors": ["NotUniqueError"] * 2, "rows": 1}
 
 
 class TestUnrank:
