@@ -43,6 +43,7 @@ _SUBMODULES = {
     "initial_fraction": "symdiff",
     "nat_coefficients": "symdiff",
     "ENUMERATION_LIMIT": "words",
+    "RANK_LIMIT": "words",
     "classify": "words",
     "compare": "words",
     "completion_count": "words",
@@ -51,6 +52,7 @@ _SUBMODULES = {
     "sort_key": "words",
     "unrank": "words",
     "validate": "words",
+    "word_blocks": "words",
 }
 
 
@@ -79,6 +81,7 @@ __all__ = [
     "MotzkinWordError",
     "NotUniqueError",
     "PrefixViolationError",
+    "RANK_LIMIT",
     "SqrtFraction",
     "TruncatedSeries",
     "UnbalancedError",
@@ -102,4 +105,5 @@ __all__ = [
     "sort_key",
     "unrank",
     "validate",
+    "word_blocks",
 ]

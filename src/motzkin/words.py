@@ -39,13 +39,17 @@ with '0', '(' or ')' form three consecutive blocks of
 symbol: '(' skips the '0' block, ')' skips the '0' and '(' blocks, and
 '0' skips nothing. ``rank`` adds those sums; ``unrank`` compares the
 offset left with the '0' block, then with the '(' block, and takes ')'
-past both. ``rank`` checks the word in the same walk: a symbol outside
-the alphabet, a ')' at depth 0, a '(' that the rest cannot close or a
-nonzero final depth stops it, and ``validate`` then names the fault.
-The table is built once per process and only grows, and only for a
-word already checked, so a malformed word builds no row; lengths above
-RANK_LIMIT raise LimitExceededError, and ``unrank`` refuses an index of
-M_RANK_LIMIT or more without building the table.
+past both. Each stored row ends in two zeros, the counts from the two
+depths past its last one, so every block either walk can reach reads as
+a number and a block no word can take reads 0. ``rank`` checks the word
+in the same walk under one rule: '0' and '(' must leave no more open
+than the rest can close, and ')' must close an open '('. A symbol
+outside the alphabet or one that breaks the rule stops it, and
+``validate`` then names the fault; a walk that reaches the end is at
+depth 0. The table is built once per process and only grows, and only
+for a word already checked, so a malformed word builds no row; lengths
+above RANK_LIMIT raise LimitExceededError, and ``unrank`` refuses an
+index of M_RANK_LIMIT or more without building the table.
 """
 
 from bisect import bisect_right
@@ -138,22 +142,27 @@ def sort_key(word: str):
 
 
 def _next_row(prev: list[int]) -> list[int]:
-    """Row r + 1 of the completion table from row r: a first symbol
-    '(', '0' or ')' leaves depth h + 1, h or h - 1 for the rest."""
-    padded = [0, *prev, 0, 0]
-    return [padded[h] + padded[h + 1] + padded[h + 2] for h in range(len(prev) + 1)]
+    """Padded row r + 1 of the completion table from padded row r: a
+    first symbol '(', '0' or ')' leaves depth h + 1, h or h - 1 for the
+    rest. At h = 0, prev[h - 1] is prev[-1], a pad zero."""
+    return [prev[h - 1] + prev[h] + prev[h + 1] for h in range(len(prev) - 1)] + [0, 0]
 
 
 # Rows 0..len(_ROWS)-1 of the completion table, shared by every call.
-# A published row is never mutated, and growth publishes a longer copy
-# with one rebinding, so concurrent callers need no lock: at worst they
-# build the same rows twice.
-_ROWS: list[list[int]] = [[1]]
+# Row r is [c(0, r), ..., c(r, r), 0, 0]: the two pad zeros count the
+# completions from depths r + 1 and r + 2, which have none, so a walk
+# whose depth never exceeds one more than the symbols it has left reads
+# every block it needs, '0', '(' or ')', as a number. A published row is
+# never mutated, and growth publishes a longer copy with one rebinding,
+# so concurrent callers need no lock: at worst they build the same rows
+# twice.
+_ROWS: list[list[int]] = [[1, 0, 0]]
 
 
 def _completion_rows(length: int) -> list[list[int]]:
     """Rows r = 0..length (at least) of the completion table; rows[r][h]
-    counts the ways to finish from h open parentheses in exactly r symbols.
+    counts the ways to finish from h open parentheses in exactly r symbols,
+    for h = 0..r + 2.
 
     Raises LimitExceededError for a length above RANK_LIMIT.
     """
@@ -267,12 +276,12 @@ def rank(word: str) -> int:
         rows = _completion_rows(n)
 
     # The series index is the lexicographic index among all n-words: at
-    # each step, skip the blocks of the smaller symbols. The '0' block
-    # (completions from the same depth) exists while depth <= remaining,
-    # the '(' block while depth < remaining. The same walk checks the
-    # word: '(' must leave a depth that the rest can close, ')' must
-    # close an open '(', and the word must end at depth 0. On any fault,
-    # _unique names it.
+    # each step, skip the blocks of the smaller symbols. The same walk
+    # checks the word: '0' and '(' must leave no more open than the rest
+    # can close, and ')' must close an open '('. So depth never exceeds
+    # the symbols left, every block read lies in its padded row, and a
+    # walk that reaches the end is at depth 0. On any fault, _unique
+    # names it.
     if word == ZERO or word[:1] == OPEN:
         position = depth = 0
         for remaining, symbol in zip(range(n - 1, -1, -1), word):
@@ -284,17 +293,13 @@ def rank(word: str) -> int:
             elif symbol == CLOSE:
                 if not depth:
                     break
-                if depth < remaining:
-                    row = rows[remaining]
-                    position += row[depth] + row[depth + 1]
-                elif depth == remaining:
-                    position += rows[remaining][depth]
+                row = rows[remaining]
+                position += row[depth] + row[depth + 1]
                 depth -= 1
-            elif symbol != ZERO:
+            elif symbol != ZERO or depth > remaining:
                 break
         else:
-            if not depth:
-                return position
+            return position
     _unique(word)
     raise InternalError(f"rank refused the unique word {word!r}")
 
@@ -322,25 +327,24 @@ def unrank(index: int) -> str:
 
     # The series index is the lexicographic index among all n-words: at
     # each step, the offset falls in the '0' block, the '(' block or,
-    # past both, the ')' block.
+    # past both, the ')' block. A block that no word can take reads 0 in
+    # the padded row, so the offset never falls in it.
     offset = index
     symbols = []
     depth = 0
     for remaining in range(n - 1, -1, -1):
         row = rows[remaining]
-        if depth <= remaining:
-            block = row[depth]
-            if offset < block:
-                symbols.append(ZERO)
-                continue
-            offset -= block
-            if depth < remaining:
-                block = row[depth + 1]
-                if offset < block:
-                    symbols.append(OPEN)
-                    depth += 1
-                    continue
-                offset -= block
+        block = row[depth]
+        if offset < block:
+            symbols.append(ZERO)
+            continue
+        offset -= block
+        block = row[depth + 1]
+        if offset < block:
+            symbols.append(OPEN)
+            depth += 1
+            continue
+        offset -= block
         symbols.append(CLOSE)
         depth -= 1
     return "".join(symbols)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import motzkin
-from motzkin import DegenerateFractionError, InternalError, cli, sequences, series, symdiff, words
+from motzkin import DegenerateFractionError, InternalError, cli, errors, sequences, series, symdiff, words
 
 
 def run(capsys, *argv):
@@ -334,6 +334,11 @@ class TestStartup:
         owner = sys.modules[home] if home else holders[0]
         assert home or len(holders) == 1
         assert getattr(motzkin, name) is vars(owner)[name]
+
+    def test_all_lists_the_lazy_names_and_the_errors(self):
+        error_names = {name for name, value in vars(errors).items() if isinstance(value, type)}
+        assert len(set(motzkin.__all__)) == len(motzkin.__all__)
+        assert set(motzkin.__all__) == set(motzkin._SUBMODULES) | error_names
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError):

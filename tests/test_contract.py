@@ -16,6 +16,7 @@ from motzkin import cli
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 LONG_WORD = "(" + "(0)" * 130 + "0()" * 3 + ")"
+NESTED_WORD = "(" * 500 + ")" * 500
 
 # (command line, exit code, stdout digest, stderr digest)
 CASES = [
@@ -47,6 +48,8 @@ CASES = [
         "2529e3b28d5ed8711e96ab762c81a0c857ef98ebf4e758fbd9ff1fbdf321163d", EMPTY),
     (f"rank --word {LONG_WORD}", 0,
         "b3d75b2439e0bafca2d9626f0a3ced3a9d2328e4eb0c4d26b086de60ce4607f1", EMPTY),
+    (f"rank --word {NESTED_WORD}", 0,
+        "99bfe5c20db5c2e96e1bade21a19d566953977cd993550f8961a4ddd8022f590", EMPTY),
     ("diff --max 1 --method convolution", 0,
         "82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae", EMPTY),
     ("enumerate --length 1 --filter unique", 0,
@@ -61,6 +64,9 @@ CASES = [
     # error: NOT_UNIQUE: not a Motzkin word: 1 unmatched '(' in '(()'
     ("rank --word (()", 1,
         EMPTY, "ec8cd117edb16e14490279dbcf0f5af7049c0119bf3cd93234990439edfbc1d1"),
+    # error: NOT_UNIQUE: not a Motzkin word: 1 unmatched '(' in '(((00))'
+    ("rank --word (((00))", 1,
+        EMPTY, "5dad2bf746fd4949b4308436015714a7105c465c6611c8c2ce39e03bcdd49528"),
     # error: LIMIT_EXCEEDED: length 17 exceeds the enumeration bound 16
     ("enumerate --length 17", 1,
         EMPTY, "ed7d8fb1837724285b34c1345c0000dcea76ee5dc177df6c04c87c630e1358d7"),

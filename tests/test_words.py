@@ -427,7 +427,7 @@ class TestRank:
     def test_matches_the_checked_walk_on_every_short_string(self, table, monkeypatch):
         # Every string over "0()x" of length <= 8, against classify and
         # then the block-sum walk; a cold table starts each call at one row.
-        monkeypatch.setattr(words, "_ROWS", [[1]])
+        monkeypatch.setattr(words, "_ROWS", words._ROWS[:1])
         rows = reference_rows(8)
         if table == "warm":
             words.completion_count(0, 8)
@@ -435,7 +435,7 @@ class TestRank:
             for symbols in product("0()x", repeat=n):
                 word = "".join(symbols)
                 if table == "cold":
-                    words._ROWS = [[1]]
+                    words._ROWS = words._ROWS[:1]
                 expected = checked_walk_verdict(word, rows)
                 try:
                     assert words.rank(word) == expected
@@ -447,6 +447,31 @@ class TestRank:
     def test_malformed_words_grow_no_table(self):
         report = run_fresh(GROWTH_PROBE, "", [")(" * 500, "(" * 999 + "0"])
         assert report == {"errors": ["NotUniqueError"] * 2, "rows": 1}
+
+    def test_closing_runs_match_the_reference_walk(self):
+        # In each of these words a ')' runs at one more depth than the
+        # symbols left after it, where its '(' block reads past the row.
+        rows = reference_rows(words.RANK_LIMIT)
+        for k in range(1, 501):
+            for word in ("(" * k + ")" * k, "(" * k + "0" + ")" * k, "(" + "0" * k + ")"):
+                if len(word) > words.RANK_LIMIT:
+                    with pytest.raises(LimitExceededError):
+                        words.rank(word)
+                else:
+                    assert words.rank(word) == reference_rank(word, rows)
+
+    @pytest.mark.parametrize("table", ["cold", "warm"])
+    def test_unclosable_zero_is_refused(self, table, monkeypatch):
+        # The second '0' leaves 300 open with 299 symbols left.
+        word = "(" * 300 + "00" + ")" * 299
+        monkeypatch.setattr(words, "_ROWS", words._ROWS[:1])
+        if table == "warm":
+            words.completion_count(0, len(word))
+        with pytest.raises(NotUniqueError) as caught:
+            words.rank(word)
+        assert str(caught.value) == f"not a Motzkin word: 1 unmatched '(' in {word!r}"
+        if table == "cold":
+            assert len(words._ROWS) == 1
 
 
 class TestUnrank:
@@ -551,7 +576,7 @@ top = int(sys.argv[1])
 print(json.dumps({
     "alive": sum(thread.is_alive() for thread in threads),
     "results": results,
-    "row_sizes_ok": all(len(row) == r + 1 for r, row in enumerate(rows)),
+    "row_sizes_ok": all(len(row) == r + 3 and row[-2:] == [0, 0] for r, row in enumerate(rows)),
     "counts_ok": [words.completion_count(0, n) for n in range(top + 1)] == sequences.motzkin_numbers(top),
 }))
 """
@@ -634,20 +659,25 @@ class TestBijection:
                 assert words.rank(word) == index
 
     def test_matches_the_reference_walk_at_long_lengths(self):
-        # 15 indexes per length, the block's first and last among them,
-        # and as many random words, against the per-candidate walk.
+        # The block's first and last index at every length, whose words
+        # "(0...0)" and "((...))" end in ')'s at one more depth than the
+        # symbols left, and at every 20th length 13 random indexes and 15
+        # random words, against the per-candidate walk.
         rng = random.Random(2020)
         rows = reference_rows(400)
-        for n in range(20, 401, 20):
+        for n in range(2, 401):
             first, end = rows[n - 1][0], rows[n][0]
-            indexes = [first, end - 1] + [rng.randrange(first, end) for _ in range(13)]
+            indexes = [first, end - 1]
+            if n % 20 == 0:
+                indexes += [rng.randrange(first, end) for _ in range(13)]
             for index in indexes:
                 word = reference_unrank(index, rows)
                 assert len(word) == n and word[0] == "("
                 assert words.unrank(index) == word
                 assert words.rank(word) == index
-                other = random_unique_word(rng, n)
-                assert words.rank(other) == reference_rank(other, rows)
+                if n % 20 == 0:
+                    other = random_unique_word(rng, n)
+                    assert words.rank(other) == reference_rank(other, rows)
 
     def test_enumerate_matches_unrank_blocks(self):
         offset = 0
