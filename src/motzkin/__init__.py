@@ -68,42 +68,7 @@ def __getattr__(name: str):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadConstantTermError",
-    "BadSymbolError",
-    "DegenerateFractionError",
-    "DerivativeCursor",
-    "ENUMERATION_LIMIT",
-    "IntPoly",
-    "InternalError",
-    "LimitExceededError",
-    "MotzkinError",
-    "MotzkinWordError",
-    "NotUniqueError",
-    "PrefixViolationError",
-    "RANK_LIMIT",
-    "SqrtFraction",
-    "TruncatedSeries",
-    "UnbalancedError",
-    "ZeroConstantTermError",
-    "ZeroDenominatorError",
-    "classify",
-    "compare",
-    "completion_count",
-    "content_reduce",
-    "derivative_step",
-    "difference_numbers",
-    "enumerate_words",
-    "evaluate_at_zero",
-    "fraction_series",
-    "initial_fraction",
-    "motzkin_numbers",
-    "motzkin_series",
-    "nat_coefficients",
-    "nat_series",
-    "rank",
-    "sort_key",
-    "unrank",
-    "validate",
-    "word_blocks",
-]
+# Computed, so a public name is listed in one place: the lazy names
+# above and the classes defined in motzkin.errors, which the import at
+# the top binds here as the submodule ``errors``.
+__all__ = sorted([*_SUBMODULES, *(name for name, value in vars(errors).items() if isinstance(value, type))])

@@ -138,7 +138,10 @@ def compare(first: str, second: str) -> int:
 
 def sort_key(word: str):
     """Sorting key realizing the same order as ``compare``."""
-    return len(word), tuple(_SYMBOL_RANK[symbol] for symbol in word)
+    # From a list, not a generator: tuple() guesses a generator's length,
+    # and each resized tuple is parked in the interpreter's tuple free
+    # lists, so repeated calls grow the process by hundreds of KB.
+    return len(word), tuple([_SYMBOL_RANK[symbol] for symbol in word])
 
 
 def _next_row(prev: list[int]) -> list[int]:

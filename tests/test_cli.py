@@ -340,6 +340,12 @@ class TestStartup:
         assert len(set(motzkin.__all__)) == len(motzkin.__all__)
         assert set(motzkin.__all__) == set(motzkin._SUBMODULES) | error_names
 
+    def test_readme_layout_lists_each_lazy_name_in_its_module_row(self):
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        rows = {line.split("|")[1].strip(" `"): line for line in readme.splitlines() if line.startswith("| `motzkin.")}
+        missing = [name for name, module in motzkin._SUBMODULES.items() if f"`{name}`" not in rows[f"motzkin.{module}"]]
+        assert missing == []
+
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError):
             motzkin.no_such_name
