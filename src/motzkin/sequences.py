@@ -31,6 +31,9 @@ def motzkin_numbers(n_max: int) -> list[int]:
     return values
 
 
+DIFFERENCE_METHODS = ("subtraction", "convolution")
+
+
 def difference_numbers(n_max: int, method: str = "subtraction") -> list[int]:
     """Return the table ``[U_0, ..., U_n_max]`` of difference numbers.
 
@@ -41,7 +44,7 @@ def difference_numbers(n_max: int, method: str = "subtraction") -> list[int]:
     * ``subtraction``: ``U_n = M_n - M_{n-1}``
     * ``convolution``: ``U_n = sum(M_k * M_{n-2-k}, k=0..n-2)``
     """
-    if method not in ("subtraction", "convolution"):
+    if method not in DIFFERENCE_METHODS:
         raise ValueError(f"unknown method {method!r}")
     motzkin = motzkin_numbers(n_max)  # also rejects a negative n_max
     values = [0, 1][: n_max + 1]

@@ -58,6 +58,15 @@ CASES = [
         "f940b325d835f25f3a26d03bdf21e79688e95ba8a5973d4fb78fb2813ae6139c", EMPTY),
     ("symdiff --max 0", 0,
         "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa", EMPTY),
+    ("verify --max 0", 0,
+        "4ffe8a334e72dff708ccf027cbfc9e7a8fc8b479957116f6f575f3549e37254f", EMPTY),
+    ("verify --max 1", 0,
+        "f30769738b85752972380bc1a45db2d1b6c4266fdcc5f16f093ad17d0deb61f3", EMPTY),
+    ("verify --max 2", 0,
+        "36866f3ecdbba532539ff78f4e90d738428c441ec316386ec1833f4f8792cb5b", EMPTY),
+    # count=0: no word shorter than 2 is inherited
+    ("enumerate --length 1 --filter inherited", 0,
+        "d950b4e86f37941c3520e2f6072e72fac7dd04015e53cf27644030cfef1c1216", EMPTY),
     # error: NOT_UNIQUE: '0()' has no position in the series
     ("rank --word 0()", 1,
         EMPTY, "b8305aeb70018bd1e5194c798df00c27df16b828b708e62e1ac4d18e3b64f9f5"),

@@ -1,14 +1,15 @@
 """Mutants of the routes that ``verify`` cross-checks.
 
-Each mutant changes one value on one route, patched in for a single
-``verification_checks(12)`` run with no source edit, and names the exact
-set of lines that must FAIL. A mutant that no line catches is a finding
-about ``verify``, not a reason to drop the mutant: the table only grows.
+Each mutant changes one value on one route, patched in with no source
+edit for one ``verification_checks(12)`` run and one ``verify --max 12``
+command, and names the exact set of lines that must FAIL. A mutant that
+no line catches is a finding about ``verify``, not a reason to drop the
+mutant: the table only grows.
 """
 
 import pytest
 
-from motzkin import InternalError, cli, series, symdiff, words
+from motzkin import InternalError, cli, sequences, series, symdiff, words
 
 
 def _bump(values, n):
@@ -61,6 +62,69 @@ def wrong_cursor_numerator(monkeypatch):
     monkeypatch.setattr(symdiff.DerivativeCursor, "advance", advance)
 
 
+def wrong_last_motzkin_number(monkeypatch):
+    # Every route that reads the Motzkin table sees the wrong M_12.
+    original = sequences.motzkin_numbers
+    monkeypatch.setattr(sequences, "motzkin_numbers", lambda n_max: _bump(original(n_max), n_max))
+
+
+def wrong_convolution_value(monkeypatch):
+    original = sequences.difference_numbers
+    monkeypatch.setattr(
+        sequences,
+        "difference_numbers",
+        lambda n_max, method: _bump(original(n_max, method), 9) if method == "convolution" else original(n_max, method),
+    )
+
+
+def wrong_functional_coefficient(monkeypatch):
+    original = series.motzkin_series
+
+    def motzkin_series(order, method):
+        built = original(order, method)
+        return series.TruncatedSeries(_bump(built.coefficients, 7)) if method == "functional" else built
+
+    monkeypatch.setattr(series, "motzkin_series", motzkin_series)
+
+
+def wrong_last_cycle_value(monkeypatch):
+    original = symdiff.nat_coefficients
+    monkeypatch.setattr(symdiff, "nat_coefficients", lambda k_max: _bump(original(k_max), k_max))
+
+
+def short_word_listing(monkeypatch):
+    # Drop the last word of length 5 from the full listing.
+    original = words.word_blocks
+
+    def word_blocks(n, kind="all"):
+        blocks = list(original(n, kind))
+        if kind == "all" and n == 5:
+            blocks[-1] = blocks[-1][:-1]
+        return iter(blocks)
+
+    monkeypatch.setattr(words, "word_blocks", word_blocks)
+
+
+def inherited_short_word(monkeypatch):
+    # "0" listed as an inherited word of length 1, where none is.
+    original = words.word_blocks
+    monkeypatch.setattr(
+        words,
+        "word_blocks",
+        lambda n, kind="all": iter([[words.ZERO]]) if (n, kind) == (1, "inherited") else original(n, kind),
+    )
+
+
+def wrong_rank_at_length_nine(monkeypatch):
+    original = words.rank
+    monkeypatch.setattr(words, "rank", lambda word: original(word) + (len(word) == 9))
+
+
+def wrong_unrank_at_index_100(monkeypatch):
+    original = words.unrank
+    monkeypatch.setattr(words, "unrank", lambda index: original(101 if index == 100 else index))
+
+
 # mutant -> the lines that must FAIL, recorded from a run; None when the
 # run must end in InternalError instead.
 MUTANTS = [
@@ -69,14 +133,51 @@ MUTANTS = [
     (wrong_product_coefficient, {"nat-product-vs-linear", "nat-series-vs-difference-table"}),
     (wrong_completion_row, {"rank-unrank-roundtrip"}),
     (wrong_cursor_numerator, None),
+    (
+        wrong_last_motzkin_number,
+        {
+            "motzkin-recurrence-vs-functional-series",
+            "difference-subtraction-vs-convolution",
+            "nat-series-vs-difference-table",
+            "symdiff-vs-difference-table",
+            "census-all-vs-motzkin-table",
+            "census-unique-vs-difference-table",
+        },
+    ),
+    (wrong_convolution_value, {"difference-subtraction-vs-convolution"}),
+    (
+        wrong_functional_coefficient,
+        {
+            "motzkin-recurrence-vs-functional-series",
+            "motzkin-functional-vs-closed-form",
+            "nat-product-vs-linear",
+            "nat-series-vs-difference-table",
+        },
+    ),
+    (wrong_last_cycle_value, {"symdiff-vs-difference-table"}),
+    (short_word_listing, {"census-all-vs-motzkin-table"}),
+    (inherited_short_word, {"census-inherited-vs-shifted-motzkin"}),
+    (wrong_rank_at_length_nine, {"rank-unrank-roundtrip"}),
+    (wrong_unrank_at_index_100, {"rank-unrank-roundtrip"}),
 ]
 
 
 @pytest.mark.parametrize("mutant, failing", MUTANTS, ids=[mutant.__name__ for mutant, _ in MUTANTS])
-def test_mutant_fails_its_lines(monkeypatch, mutant, failing):
+def test_mutant_fails_its_lines(monkeypatch, capsys, mutant, failing):
     mutant(monkeypatch)
     if failing is None:
         with pytest.raises(InternalError):
             list(cli.verification_checks(12))
     else:
         assert {name for name, ok, _ in cli.verification_checks(12) if not ok} == failing
+    # The same mutant through the command line: exit 2 and exactly its
+    # FAIL lines, or exit 3 and an INTERNAL error line.
+    status = cli.main(["verify", "--max", "12"])
+    captured = capsys.readouterr()
+    if failing is None:
+        assert status == 3
+        assert captured.err.startswith("error: INTERNAL: ")
+    else:
+        assert status == 2
+        fail_lines = [line.split()[1] for line in captured.out.splitlines() if line.startswith("FAIL ")]
+        assert sorted(fail_lines) == sorted(failing)
