@@ -42,12 +42,19 @@ def wrong_product_coefficient(monkeypatch):
 
 
 def wrong_completion_row(monkeypatch):
-    # Drop the shared table to its first row, so the run builds every
-    # later row through the mutant.
-    original = words._next_row
-    monkeypatch.setattr(words, "_ROWS", words._ROWS[:1])
-    # Wrong c(1, 5): row 5 is built from row 4, which has 7 entries.
-    monkeypatch.setattr(words, "_next_row", lambda prev: _bump(original(prev), 1) if len(prev) == 7 else original(prev))
+    # Start the shared table cold, so the run builds every entry through
+    # the mutant.
+    original = words._next_diagonal
+    monkeypatch.setattr(words, "_ROWS", [[1]])
+
+    def next_diagonal(rows):
+        original(rows)
+        # Wrong c(1, 5): it is built with the diagonal 1 + 5 = 6, and the
+        # later diagonals read it.
+        if len(rows) == 7:
+            rows[5][1] += 2
+
+    monkeypatch.setattr(words, "_next_diagonal", next_diagonal)
 
 
 def wrong_cursor_numerator(monkeypatch):
@@ -58,6 +65,24 @@ def wrong_cursor_numerator(monkeypatch):
         if self.passes == 3:
             fraction = self.current = fraction._replace(a=fraction.a + symdiff.IntPoly([1]))
         return fraction
+
+    monkeypatch.setattr(symdiff.DerivativeCursor, "advance", advance)
+
+
+def wrong_natural_cursor_value(monkeypatch):
+    # Pass 3 holds a + 96 in place of a. Its value at zero has the
+    # denominator c(0) + d(0) = 2^4, so it rises by 6 = 3! and U_3 reads
+    # one too high but still natural. Pass 4 advances from the true pass 3.
+    original = symdiff.DerivativeCursor.advance
+    true = {}
+
+    def advance(self):
+        self.current = true.pop(self, self.current)
+        fraction = original(self)
+        if self.passes == 3:
+            true[self] = fraction
+            self.current = fraction._replace(a=fraction.a + symdiff.IntPoly([96]))
+        return self.current
 
     monkeypatch.setattr(symdiff.DerivativeCursor, "advance", advance)
 
@@ -87,6 +112,17 @@ def wrong_functional_coefficient(monkeypatch):
     monkeypatch.setattr(series, "motzkin_series", motzkin_series)
 
 
+def wrong_linear_nat_coefficient(monkeypatch):
+    # Only the linear form x - 1 + (1 - x)M of the difference numbers.
+    original = series.nat_series
+
+    def nat_series(order, form="product"):
+        built = original(order, form)
+        return series.TruncatedSeries(_bump(built.coefficients, 6)) if form == "linear" else built
+
+    monkeypatch.setattr(series, "nat_series", nat_series)
+
+
 def wrong_last_cycle_value(monkeypatch):
     original = symdiff.nat_coefficients
     monkeypatch.setattr(symdiff, "nat_coefficients", lambda k_max: _bump(original(k_max), k_max))
@@ -99,6 +135,20 @@ def short_word_listing(monkeypatch):
     def word_blocks(n, kind="all"):
         blocks = list(original(n, kind))
         if kind == "all" and n == 5:
+            blocks[-1] = blocks[-1][:-1]
+        return iter(blocks)
+
+    monkeypatch.setattr(words, "word_blocks", word_blocks)
+
+
+def short_unique_listing(monkeypatch):
+    # Drop the last unique word of length 6, "()()()", from the unique
+    # filter alone.
+    original = words.word_blocks
+
+    def word_blocks(n, kind="all"):
+        blocks = list(original(n, kind))
+        if kind == "unique" and n == 6:
             blocks[-1] = blocks[-1][:-1]
         return iter(blocks)
 
@@ -133,6 +183,7 @@ MUTANTS = [
     (wrong_product_coefficient, {"nat-product-vs-linear", "nat-series-vs-difference-table"}),
     (wrong_completion_row, {"rank-unrank-roundtrip"}),
     (wrong_cursor_numerator, None),
+    (wrong_natural_cursor_value, {"symdiff-vs-difference-table"}),
     (
         wrong_last_motzkin_number,
         {
@@ -154,8 +205,10 @@ MUTANTS = [
             "nat-series-vs-difference-table",
         },
     ),
+    (wrong_linear_nat_coefficient, {"nat-product-vs-linear"}),
     (wrong_last_cycle_value, {"symdiff-vs-difference-table"}),
     (short_word_listing, {"census-all-vs-motzkin-table"}),
+    (short_unique_listing, {"census-unique-vs-difference-table", "rank-unrank-roundtrip"}),
     (inherited_short_word, {"census-inherited-vs-shifted-motzkin"}),
     (wrong_rank_at_length_nine, {"rank-unrank-roundtrip"}),
     (wrong_unrank_at_index_100, {"rank-unrank-roundtrip"}),

@@ -6,7 +6,8 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from itertools import product
+from collections import Counter
+from itertools import accumulate, product
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,19 @@ def reference_rows(n):
         padded = [0, *rows[-1], 0, 0]
         rows.append([padded[h] + padded[h + 1] + padded[h + 2] for h in range(r + 2)])
     return rows
+
+
+def cold_table():
+    """A new completion table at length 0, as a fresh process holds it."""
+    return [[1]]
+
+
+def table_layout(top):
+    """The exact shape of the completion table at length ``top``: row r
+    holds c(0, r), c(1, r), ... for h <= min(r + 2, top - r), pad zeros
+    past h = r included, as built by reference_rows."""
+    reference = reference_rows(top)
+    return [(reference[r] + [0, 0])[: min(r + 3, top + 1 - r)] for r in range(top + 1)]
 
 
 REFERENCE_DELTA = {"0": 0, "(": 1, ")": -1}
@@ -291,33 +305,40 @@ class TestCompletionCount:
     def test_single_close(self):
         assert words.completion_count(1, 1) == 1
 
-    def test_brute_force(self):
-        # Oracle: walk every suffix and count the ones that finish cleanly.
-        def finishes(start_depth, symbols):
-            depth = start_depth
-            for s in symbols:
-                depth += {"0": 0, "(": 1, ")": -1}[s]
-                if depth < 0:
-                    return False
-            return depth == 0
-
-        for depth in range(5):
-            for remaining in range(8):
-                expected = sum(
-                    finishes(depth, suffix) for suffix in product("0()", repeat=remaining)
-                )
+    def test_brute_force(self, monkeypatch):
+        # Oracle: walk every suffix of each length once; a suffix finishes
+        # from depth h when its running sum never falls below -h and ends
+        # at -h. Every pair with depth + remaining <= 12, from a cold table.
+        monkeypatch.setattr(words, "_ROWS", cold_table())
+        for remaining in range(13):
+            finishing = Counter()
+            for suffix in product((0, 1, -1), repeat=remaining):
+                finishing[-sum(suffix), -min(accumulate(suffix, initial=0))] += 1
+            for depth in range(13 - remaining):
+                expected = sum(count for (end, low), count in finishing.items() if end == depth and low <= depth)
                 assert words.completion_count(depth, remaining) == expected
 
-    def test_unreachable_depth(self):
-        assert words.completion_count(5, 3) == 0
+    def test_unreachable_depth(self, monkeypatch):
+        # A depth above the symbols left counts 0 at any size, with no row.
+        monkeypatch.setattr(words, "_ROWS", cold_table())
+        for depth, remaining in [(5, 3), (1, 0), (words.RANK_LIMIT + 1, words.RANK_LIMIT), (10**6, 2)]:
+            assert words.completion_count(depth, remaining) == 0
+        assert words._ROWS == cold_table()
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             words.completion_count(-1, 3)
 
     def test_limit(self):
-        with pytest.raises(LimitExceededError):
-            words.completion_count(0, words.RANK_LIMIT + 1)
+        # A state at depth h with r symbols left lies on a word of at least
+        # h + r symbols, so h + r is bounded, not r alone.
+        rows = reference_rows(words.RANK_LIMIT)
+        for depth in (0, 1, 2, 333, 499, 500):
+            remaining = words.RANK_LIMIT - depth
+            assert words.completion_count(depth, remaining) == rows[remaining][depth]
+            with pytest.raises(LimitExceededError) as caught:
+                words.completion_count(depth, remaining + 1)
+            assert str(caught.value) == f"length {words.RANK_LIMIT + 1} exceeds the rank bound {words.RANK_LIMIT}"
 
 
 class TestEnumerate:
@@ -427,7 +448,7 @@ class TestRank:
     def test_matches_the_checked_walk_on_every_short_string(self, table, monkeypatch):
         # Every string over "0()x" of length <= 8, against classify and
         # then the block-sum walk; a cold table starts each call at one row.
-        monkeypatch.setattr(words, "_ROWS", words._ROWS[:1])
+        monkeypatch.setattr(words, "_ROWS", cold_table())
         rows = reference_rows(8)
         if table == "warm":
             words.completion_count(0, 8)
@@ -435,7 +456,7 @@ class TestRank:
             for symbols in product("0()x", repeat=n):
                 word = "".join(symbols)
                 if table == "cold":
-                    words._ROWS = words._ROWS[:1]
+                    words._ROWS = cold_table()
                 expected = checked_walk_verdict(word, rows)
                 try:
                     assert words.rank(word) == expected
@@ -464,7 +485,7 @@ class TestRank:
     def test_unclosable_zero_is_refused(self, table, monkeypatch):
         # The second '0' leaves 300 open with 299 symbols left.
         word = "(" * 300 + "00" + ")" * 299
-        monkeypatch.setattr(words, "_ROWS", words._ROWS[:1])
+        monkeypatch.setattr(words, "_ROWS", cold_table())
         if table == "warm":
             words.completion_count(0, len(word))
         with pytest.raises(NotUniqueError) as caught:
@@ -506,6 +527,18 @@ for index in json.load(sys.stdin):
 print(json.dumps({"messages": messages, "rows": len(words._ROWS)}))
 """
 
+# Unranks the index read from stdin on a cold table; prints the peak RSS
+# of the process in MB. It reads VmHWM, the peak of this program alone:
+# ru_maxrss keeps the high-water mark of the process that started it
+# across exec, 150 MB and more under the test runner.
+PEAK_PROBE = """
+import json, sys
+from motzkin import words
+words.unrank(json.load(sys.stdin))
+with open("/proc/self/status") as status:
+    print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024)
+"""
+
 
 class TestRankLimit:
     def test_rank_rejects_long_word(self):
@@ -535,6 +568,14 @@ class TestRankLimit:
         report = run_fresh(FAR_INDEX_PROBE, "", [10**3000, 3**words.RANK_LIMIT, first_refused])
         message = "length 1001 exceeds the rank bound 1000"
         assert report == {"messages": [message] * 3, "rows": 1}
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_unrank_at_the_limit_peaks_below_60_mb(self):
+        # The last index below the bound builds the table to length 1000:
+        # 84.3 MB of process with whole rows, about 46 MB with the rows cut
+        # to what a walk can read.
+        last = sequences.motzkin_numbers(words.RANK_LIMIT)[-1] - 1
+        assert run_fresh(PEAK_PROBE, "", last) < 60
 
 
 # Ranks and unranks one word and one index per length, in the order of
@@ -571,14 +612,26 @@ try:
         thread.join(timeout=60)
 finally:
     sys.setswitchinterval(interval)
-rows = words._ROWS
 top = int(sys.argv[1])
 print(json.dumps({
     "alive": sum(thread.is_alive() for thread in threads),
     "results": results,
-    "row_sizes_ok": all(len(row) == r + 3 and row[-2:] == [0, 0] for r, row in enumerate(rows)),
+    "rows": words._ROWS,
     "counts_ok": [words.completion_count(0, n) for n in range(top + 1)] == sequences.motzkin_numbers(top),
 }))
+"""
+
+# Ranks "(0...0)" at every length 2..argv[1] in ascending order from a
+# cold table, so each call grows the table by one length; prints the
+# seconds the calls took.
+ASCENDING_PROBE = """
+import sys, time
+from motzkin import words
+batch = ["(" + "0" * (n - 2) + ")" for n in range(2, int(sys.argv[1]) + 1)]
+start = time.perf_counter()
+for word in batch:
+    words.rank(word)
+print(time.perf_counter() - start)
 """
 
 
@@ -613,8 +666,13 @@ class TestSharedTable:
         assert report["alive"] == 0
         expected = [[words.rank(a) if op == "rank" else words.unrank(a) for op, a in calls] for calls in jobs]
         assert report["results"] == expected
-        assert report["row_sizes_ok"]
+        assert report["rows"] == table_layout(400)
         assert report["counts_ok"]
+
+    def test_ascending_growth_is_cheap(self):
+        # 0.16-0.21 s on a 2-CPU VM; whole rows took 0.24-0.31 s, and a
+        # table that copied each row to extend it took 1.1-1.5 s.
+        assert run_fresh(ASCENDING_PROBE, str(words.RANK_LIMIT), None) < 1
 
     def test_batch_calls_reuse_the_table(self):
         # Rebuilding the O(n^2) table on every call took about 2 s for this
