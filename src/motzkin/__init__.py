@@ -10,20 +10,7 @@ name loads its defining submodule on first use (PEP 562), so a process
 pays only for the submodules it touches.
 """
 
-from .errors import (
-    BadConstantTermError,
-    BadSymbolError,
-    DegenerateFractionError,
-    InternalError,
-    LimitExceededError,
-    MotzkinError,
-    MotzkinWordError,
-    NotUniqueError,
-    PrefixViolationError,
-    UnbalancedError,
-    ZeroConstantTermError,
-    ZeroDenominatorError,
-)
+from .errors import *  # noqa: F403
 
 # Every other public name, by the submodule that defines it; __getattr__
 # imports the submodule on first use and caches the name in globals().

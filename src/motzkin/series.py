@@ -93,7 +93,7 @@ class TruncatedSeries:
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         num, den = self.coefficients, other.coefficients
         order = min(self.order, other.order)
-        if den[0] == 0:
+        if not den or den[0] == 0:
             raise ZeroConstantTermError("series division needs a nonzero constant term")
         quotient: list[int | Fraction] = []
         for n in range(order + 1):
@@ -107,7 +107,7 @@ class TruncatedSeries:
         """Series square root; requires constant term 1 and squares back
         to the operand exactly through the order. A coefficient stays an
         int while each halving it takes is exact."""
-        if self.coefficients[0] != 1:
+        if self.coefficients[:1] != (1,):
             raise BadConstantTermError("series square root needs constant term 1")
         root: list[int | Fraction] = [1]
         for n in range(1, self.order + 1):

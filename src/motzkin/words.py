@@ -77,7 +77,7 @@ OPEN = "("
 CLOSE = ")"
 SYMBOLS = (ZERO, OPEN, CLOSE)  # ascending alphabet order
 _DELTA = {ZERO: 0, OPEN: 1, CLOSE: -1}
-_SYMBOL_RANK = {ZERO: 0, OPEN: 1, CLOSE: 2}
+_SYMBOL_RANK = {symbol: rank for rank, symbol in enumerate(SYMBOLS)}
 
 EMPTY = "empty"
 UNIQUE = "unique"

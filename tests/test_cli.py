@@ -335,6 +335,17 @@ class TestStartup:
         assert home or len(holders) == 1
         assert getattr(motzkin, name) is vars(owner)[name]
 
+    def test_star_import_binds_all_from_the_defining_modules(self):
+        namespace = {}
+        exec("from motzkin import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == motzkin.__all__
+        for name, value in namespace.items():
+            home = importlib.import_module(f"motzkin.{motzkin._SUBMODULES.get(name, 'errors')}")
+            assert value is vars(home)[name]
+        error_classes = {name: value for name, value in vars(errors).items() if isinstance(value, type)}
+        assert {name: namespace[name] for name in error_classes} == error_classes
+
     def test_all_lists_the_lazy_names_and_the_errors(self):
         error_names = {name for name, value in vars(errors).items() if isinstance(value, type)}
         assert len(set(motzkin.__all__)) == len(motzkin.__all__)

@@ -91,6 +91,21 @@ CASES = [
     # error: USAGE: n_max must be nonnegative
     ("diff --max -1", 1,
         EMPTY, "7fc110c38be848a33f37b7be880249d4bbcc9becec4371cc103cba079ea5caa3"),
+    # error: USAGE: order must be nonnegative
+    ("series --target motzkin --order -1", 1,
+        EMPTY, "e4d761ff8c97d824203b1462c1d0b9cf5ed363114aa9bed7545a4c9770be0dce"),
+    # error: USAGE: n_max must be nonnegative
+    ("verify --max -1", 1,
+        EMPTY, "7fc110c38be848a33f37b7be880249d4bbcc9becec4371cc103cba079ea5caa3"),
+    # error: USAGE: k_max must be nonnegative
+    ("symdiff --max -1", 1,
+        EMPTY, "a7367bf6b7915afd4070083db1ff03fc8e1cd0eba64468ef98ae1d9a2dc2ece1"),
+    # error: USAGE: length must be nonnegative
+    ("enumerate --length -1", 1,
+        EMPTY, "627b743978938a72a0a30f3d1ec0abba0693fc1f00f4815acf1e7bef6128ad8a"),
+    # error: USAGE: index must be nonnegative
+    ("unrank --index -1", 1,
+        EMPTY, "48692bbadd6ded329cb659b7c7a5539bcfa13f617bae6d4efc895d1d8c42411b"),
 ]
 
 

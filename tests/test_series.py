@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from motzkin import BadConstantTermError, ZeroConstantTermError
+from motzkin import BadConstantTermError, InternalError, ZeroConstantTermError
 from motzkin import sequences
 from motzkin.series import TruncatedSeries, motzkin_series, nat_series
 
@@ -50,6 +50,23 @@ class TestRingOperations:
                 S(values, 2)
         assert S([True, Fraction(1, 2)], 2) == S([1, Fraction(1, 2), 0])
 
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            S([1], -1)
+
+    def test_no_values_give_the_zero_series(self):
+        zero = S([])
+        assert zero.order == 0
+        assert zero == TruncatedSeries([0])
+
+    def test_fractional_coefficient_is_not_an_integer(self):
+        with pytest.raises(InternalError, match="coefficient 1 is 1/2, not an integer"):
+            S([1, Fraction(1, 2), 2]).integer_coefficients()
+
+    def test_repr_shows_at_most_eight_coefficients(self):
+        assert repr(S(range(8))) == "TruncatedSeries([0, 1, 2, 3, 4, 5, 6, 7], order=7)"
+        assert repr(S(range(9))) == "TruncatedSeries([0, 1, 2, 3, 4, 5, 6, 7, ...], order=8)"
+
 
 class TestDivision:
     def test_geometric(self):
@@ -76,8 +93,10 @@ class TestDivision:
         assert type(quotient[0]) is Fraction
 
     def test_zero_constant_term(self):
-        with pytest.raises(ZeroConstantTermError):
-            S([1, 1]) / S([0, 1])
+        # A divisor built with no coefficients has no constant term.
+        for divisor in (S([0, 1]), TruncatedSeries([])):
+            with pytest.raises(ZeroConstantTermError):
+                S([1, 1]) / divisor
 
     def test_division_inverts_product(self):
         rng = random.Random(7)
@@ -104,8 +123,9 @@ class TestSqrt:
         assert S([1, 2, 1]).sqrt() == S([1, 1, 0])
 
     def test_bad_constant_term(self):
-        with pytest.raises(BadConstantTermError):
-            S([4, 1]).sqrt()
+        for operand in (S([4, 1]), TruncatedSeries([])):
+            with pytest.raises(BadConstantTermError):
+                operand.sqrt()
 
     def test_square_roundtrip_randomized(self):
         rng = random.Random(1105)
@@ -160,6 +180,11 @@ class TestMotzkinSeries:
         with pytest.raises(ValueError):
             motzkin_series(4, "oracular")
 
+    @pytest.mark.parametrize("method", ["functional", "closed_form"])
+    def test_rejects_negative_order(self, method):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            motzkin_series(-1, method)
+
 
 class TestNatSeries:
     def test_anchor_product(self):
@@ -189,6 +214,11 @@ class TestNatSeries:
     def test_rejects_bad_form(self):
         with pytest.raises(ValueError):
             nat_series(4, "quotient")
+
+    @pytest.mark.parametrize("form", ["product", "linear"])
+    def test_rejects_negative_order(self, form):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            nat_series(-1, form)
 
 
 # The routes that stay in the ints: the functional solver and both

@@ -46,6 +46,16 @@ class TestIntPoly:
         assert IntPoly((0, 0)).is_zero
         assert IntPoly().degree == -1
 
+    def test_equal_polynomials_hash_equal(self):
+        first, second = IntPoly((1, 2, 0)), IntPoly([1, 2])
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+
+    def test_repr(self):
+        assert repr(IntPoly()) == "IntPoly()"
+        assert repr(IntPoly((1, -2, 0))) == "IntPoly([1, -2])"
+
     def test_radicand_derivative(self):
         assert RADICAND.derivative() == IntPoly((-2, -6))
         assert HALF_DERIVATIVE == IntPoly((-1, -3))
