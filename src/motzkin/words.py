@@ -30,35 +30,52 @@ words before its block, the shorter unique words on one side
 the other; for n = 1 both are 0. So both functions walk one
 completion-count table from depth 0: ``completion_count(h, r)`` is the
 number of ways to finish a word when h parentheses are open and r
-symbols remain, which doubles as an independent route to the Motzkin
-numbers via ``completion_count(0, n)``. After a prefix at depth h with
-r symbols still to come after the next one, the words that continue
-with '0', '(' or ')' form three consecutive blocks of
-``completion_count(h, r)``, ``completion_count(h + 1, r)`` and
-``completion_count(h - 1, r)`` words. So an index is one block sum per
-symbol: '(' skips the '0' block, ')' skips the '0' and '(' blocks, and
-'0' skips nothing. ``rank`` adds those sums; ``unrank`` compares the
-offset left with the '0' block, then with the '(' block, and takes ')'
-past both. A walk of length n stands at depth h <= min(n - 1 - r, r + 1)
-when r symbols follow, so the table up to length N keeps only the region
-r + h <= N: about N^3/8 bits, where whole rows would hold N^3/3. Where
-a row is whole it ends in two zeros, the counts from the two depths past
-its last one, so every block either walk can reach reads as a number
-and a block no word can take reads 0. ``rank`` checks the word in the
-same walk under one rule: '0' and '(' must leave no more open than the
-rest can close, and ')' must close an open '('. A symbol outside the
-alphabet or one that breaks the rule stops it, and ``validate`` then
-names the fault; a walk that reaches the end is at depth 0. The table
-is built once per process and only grows, one diagonal r + h = N at a
-time, and only for a word already checked, so a malformed word builds
-no row; lengths above RANK_LIMIT raise LimitExceededError, and
-``unrank`` refuses an index of M_RANK_LIMIT or more without building
-the table.
+symbols remain; ``completion_count(0, n)`` is M_n, read from
+``sequences.motzkin_numbers``. After a prefix at depth h with r symbols
+still to come after the next one, the words that continue with '0', '('
+or ')' form three consecutive blocks of ``completion_count(h, r)``,
+``completion_count(h + 1, r)`` and ``completion_count(h - 1, r)`` words.
+So an index is one block sum per symbol: '(' skips the '0' block, ')'
+skips the '0' and '(' blocks, and '0' skips nothing. ``rank`` adds those
+sums; ``unrank`` compares the offset left with the '0' block, then with
+the '(' block, and takes ')' past both.
+
+A walk of length n stands at depth h <= min(n - 1 - r, r + 1) when r
+symbols follow and reads depths h and h + 1, so the table up to length N
+keeps only the region r + h <= N, h <= r + 2, and only the depths up to
+its depth bound D, the deepest h + 1 that any walk has read so far. D is
+not an option: a walk that reads past it gets an IndexError, and the
+table grows by one column per missed depth (``rank`` only after the
+word is checked, to the word's deepest depth plus one; ``unrank`` one
+column at a time, resuming its walk). Random words of length n reach
+depths of order sqrt(n), so a table of N rows holds about N * D counts:
+24 random words of length 400 left 16465 counts in 1.2 MB (tracemalloc),
+where every depth takes 40801 counts in 2.9 MB.
+
+The table is built down from the Motzkin numbers, by the recurrence
+c(h + 1, r) = c(h, r + 1) - c(h, r) - c(h - 1, r) from c(0, r) = M_r:
+a new length adds one diagonal r + h = N, a new depth one column. Both
+check every pad entry, a count c(h, r) with h > r that would close more
+than the symbols left can: it must come out 0, or InternalError is
+raised and no row changes. So each grown row ties the triangle to the
+Motzkin values, and where a row holds every depth it ends in two zeros;
+every block either walk can reach reads as a number and a block no word
+can take reads 0. ``rank`` checks the word in the same walk under one
+rule: '0' and '(' must leave no more open than the rest can close, and
+')' must close an open '('. A symbol outside the alphabet or one that
+breaks the rule stops it, and ``validate`` then names the fault; a walk
+that reaches the end is at depth 0. The table is built once per process
+and only grows, and only for a word already checked, so a malformed
+word builds no row or column; lengths above RANK_LIMIT raise
+LimitExceededError, and ``unrank`` refuses an index of M_RANK_LIMIT or
+more without building the table.
 """
 
+import operator
 import threading
 from bisect import bisect_right
 from collections.abc import Iterator
+from itertools import accumulate
 from operator import itemgetter
 
 from . import sequences
@@ -88,9 +105,10 @@ INHERITED = "inherited"
 # list that enumerate_words returns and the run time of every listing.
 ENUMERATION_LIMIT = 16
 
-# The completion table up to length n holds O(n^3) bits and stays for
-# the life of the process: 32 MB at this bound (tracemalloc; the process
-# peaks at 46 MB), 219 MB at 2000.
+# The completion table stays for the life of the process. The deepest
+# word of this length, "(" * 500 + ")" * 500, needs every depth and
+# O(n^3) bits: 30 MB of table (tracemalloc; the process peaks at 45 MB).
+# The shallow M_1000 - 1 needs 0.5 MB (14 MB of process).
 RANK_LIMIT = 1000
 
 FILTERS = ("all", UNIQUE, INHERITED)
@@ -150,53 +168,94 @@ def sort_key(word: str):
     return len(word), tuple([_SYMBOL_RANK[symbol] for symbol in word])
 
 
-def _next_diagonal(rows: list[list[int]]) -> None:
-    """Grow the completion table in ``rows`` from length N = len(rows) - 1
-    to N + 1, in place: append c(N + 1 - r, r) to every row r that stops
-    short of it, then publish row N + 1 = [M_(N+1)].
-
-    Along the diagonal r + h = N + 1 the recurrence reads
-    c(h, r) = c(h - 1, r - 1) + c(h, r - 1) + c(h + 1, r - 1), and the
-    last term is the entry one row up on the same diagonal. So the
-    diagonal is a running sum: it starts from its one pad zero, at row
-    N // 2, and each step adds the last two entries of the row above,
-    on diagonals N and N - 1. Row N holds only M_N; c(-1, N) is 0."""
-    n = len(rows) - 1
-    entry = 0
-    for row in rows[n // 2 : n]:
-        row.append(entry)
-        entry += row[-3] + row[-2]
-    last = rows[n]
-    last.append(entry)
-    rows.append([entry + last[0]])
+def _depth(rows: list[list[int]]) -> int:
+    """D, the deepest depth that the table in ``rows`` holds. Row r holds
+    min(r + 2, N - r, D) + 1 entries, and min(r + 2, N - r) peaks at row
+    max(N - 2, 0) // 2, where it is never below a depth that a walk of
+    length <= N reads."""
+    return len(rows[max(len(rows) - 3, 0) // 2]) - 1
 
 
-# The completion table up to length N = len(_ROWS) - 1, shared by every
-# call: row r is [c(0, r), c(1, r), ...] with min(r + 3, N + 1 - r)
-# entries, the region r + h <= N of the Motzkin triangle, so row N is
-# [M_N]. A walk of length n <= N at row r stands at depth
-# h <= min(n - 1 - r, r + 1) and reads c(h, r) and c(h + 1, r), all in
-# that region. Growth appends in place, only past every entry that a
-# published length can read, and appends row N + 1 last, so readers need
-# no lock; growers hold _GROWING, one at a time.
+def _check_pad(h: int, r: int, count: int) -> None:
+    """Raise InternalError unless the pad entry c(h, r), h > r, is 0: it
+    counts the ways to close more parentheses than symbols are left."""
+    if count:
+        raise InternalError(f"c({h}, {r}) = {count}, not 0")
+
+
+def _add_diagonal(rows: list[list[int]], top: int) -> None:
+    """Grow the table in ``rows`` from length N = len(rows) - 1 to N + 1,
+    in place, from ``top`` = M_(N+1): append c(h, N + 1 - h) to each row
+    that holds depth h, then publish row N + 1 = [M_(N+1)].
+
+    Down the diagonal r + h = N + 1 the recurrence reads
+    c(h, r) = c(h - 1, r + 1) - c(h - 1, r) - c(h - 2, r): the entry one
+    row up on the same diagonal, less the last two entries of row r, on
+    diagonals N and N - 1 (row N holds only M_N; c(-1, N) is 0). It stops
+    at the depth bound D <= (N + 2) // 2, so it holds at most one pad
+    entry, c(r + 1, r). Every pad entry is checked before any row
+    changes."""
+    n = len(rows)
+    counts = [top]
+    for h in range(1, _depth(rows) + 1):
+        row = rows[n - h]
+        counts.append(counts[-1] - row[-1] - (row[-2] if h > 1 else 0))
+    for h in range(n // 2 + 1, len(counts)):
+        _check_pad(h, n - h, counts[h])
+    for h in range(1, len(counts)):
+        rows[n - h].append(counts[h])
+    rows.append([top])
+
+
+def _add_column(rows: list[list[int]], h: int) -> None:
+    """Deepen the table in ``rows`` from depth bound h - 1 to h, in place:
+    append c(h, r) to every row h - 2 <= r <= N - h, by the recurrence of
+    ``_add_diagonal``. Each of those rows ends at depth h - 1, and so does
+    the row above it. Every pad entry is checked before any row changes."""
+    first = max(h - 2, 0)
+    below = rows[first : len(rows) - h]
+    counts = [above[-1] - row[-1] - (row[-2] if h > 1 else 0) for row, above in zip(below, rows[first + 1 :])]
+    for r in range(first, min(h, first + len(counts))):
+        _check_pad(h, r, counts[r - first])
+    for row, count in zip(below, counts):
+        row.append(count)
+
+
+# The completion table up to length N = len(_ROWS) - 1 and depth bound
+# D = _depth(_ROWS), shared by every call: row r is [c(0, r), c(1, r), ...]
+# for h <= min(r + 2, N - r, D), so row N is [M_N]. A walk of length
+# n <= N at row r stands at depth h <= min(n - 1 - r, r + 1) and reads
+# c(h, r) and c(h + 1, r), inside the first two bounds; D is the deepest
+# h + 1 that any walk has read, and a walk that needs more gets an
+# IndexError and grows the table. Growth appends in place, only past
+# every entry that a published length or depth can read, and appends row
+# N + 1 last, so readers need no lock; growers hold _GROWING, one at a
+# time.
 _ROWS: list[list[int]] = [[1]]
 _GROWING = threading.Lock()
 
 
-def _completion_rows(length: int) -> list[list[int]]:
-    """The completion table up to length ``length`` at least: rows
-    r = 0..length, where rows[r][h] counts the ways to finish from h open
-    parentheses in exactly r symbols, for h <= min(r + 2, length - r).
+def _completion_rows(length: int, depth: int = 0) -> list[list[int]]:
+    """The completion table up to length ``length`` at least, and up to
+    depth ``depth`` when one is given: rows r = 0..N, where rows[r][h]
+    counts the ways to finish from h open parentheses in exactly r
+    symbols, for h <= min(r + 2, N - r, D).
 
+    Each new length starts from M_N, read from ``motzkin_numbers``. A
+    depth is checked under the lock: a column is appended one row at a
+    time, so only the lock tells a whole column from a growing one.
     Raises LimitExceededError for a length above RANK_LIMIT.
     """
     if length > RANK_LIMIT:
         raise LimitExceededError(f"length {length} exceeds the rank bound {RANK_LIMIT}")
     rows = _ROWS
-    if len(rows) <= length:
+    if len(rows) <= length or depth:
         with _GROWING:
-            while len(rows) <= length:
-                _next_diagonal(rows)
+            if len(rows) <= length:
+                for top in sequences.motzkin_numbers(length)[len(rows) :]:
+                    _add_diagonal(rows, top)
+            for h in range(_depth(rows) + 1, depth + 1):
+                _add_column(rows, h)
     return rows
 
 
@@ -204,17 +263,18 @@ def completion_count(depth: int, remaining: int) -> int:
     """Number of length-``remaining`` suffixes that close ``depth`` open
     parentheses and keep every prefix valid.
 
-    ``completion_count(0, n)`` equals the n-th Motzkin number. A depth
-    above ``remaining`` counts 0 without reading the table; otherwise a
-    word that reaches this state has at least ``depth + remaining``
-    symbols, and LimitExceededError is raised when that is above
-    RANK_LIMIT.
+    ``completion_count(0, n)`` is the n-th Motzkin number, the table's
+    seed. A depth above ``remaining`` counts 0 without reading the table.
+    Otherwise a word that reaches this state has at least
+    ``depth + remaining`` symbols: LimitExceededError is raised when that
+    is above RANK_LIMIT, and else the table grows to that length and to
+    ``depth`` if it must.
     """
     if depth < 0 or remaining < 0:
         raise ValueError("depth and remaining must be nonnegative")
     if depth > remaining:
         return 0
-    return _completion_rows(depth + remaining)[remaining][depth]
+    return _completion_rows(depth + remaining, depth)[remaining][depth]
 
 
 def word_blocks(n: int, kind: str = "all") -> Iterator[list[str]]:
@@ -286,6 +346,34 @@ def _unique(word: str) -> None:
         raise NotUniqueError(f"{word!r} has no position in the series")
 
 
+def _position(word: str, rows: list[list[int]]) -> int | None:
+    """The lexicographic index of a word that starts with '0' or '(' among
+    all words of its length, or None when the walk refuses the word.
+
+    At each step, skip the blocks of the smaller symbols. The same walk
+    checks the word: '0' and '(' must leave no more open than the rest can
+    close, and ')' must close an open '('. So depth never exceeds the
+    symbols left, every block read lies in its padded row up to the depth
+    bound, and a walk that reaches the end is at depth 0. A read past the
+    depth bound raises IndexError."""
+    position = depth = 0
+    for remaining, symbol in zip(range(len(word) - 1, -1, -1), word):
+        if symbol == OPEN:
+            if depth >= remaining:
+                return None
+            position += rows[remaining][depth]
+            depth += 1
+        elif symbol == CLOSE:
+            if not depth:
+                return None
+            row = rows[remaining]
+            position += row[depth] + row[depth + 1]
+            depth -= 1
+        elif symbol != ZERO or depth > remaining:
+            return None
+    return position
+
+
 def rank(word: str) -> int:
     """Zero-based position of a unique word in the series.
 
@@ -294,38 +382,24 @@ def rank(word: str) -> int:
     word longer than RANK_LIMIT.
     """
     # Only a checked word may grow the table: a malformed word builds no
-    # row, and its fault is reported before a length above RANK_LIMIT.
+    # row or column, and its fault is reported before a length above
+    # RANK_LIMIT.
     n = len(word)
     rows = _ROWS
     if n >= len(rows):
         _unique(word)
         rows = _completion_rows(n)
-
-    # The series index is the lexicographic index among all n-words: at
-    # each step, skip the blocks of the smaller symbols. The same walk
-    # checks the word: '0' and '(' must leave no more open than the rest
-    # can close, and ')' must close an open '('. So depth never exceeds
-    # the symbols left, every block read lies in its padded row, and a
-    # walk that reaches the end is at depth 0. On any fault, _unique
-    # names it.
     if word == ZERO or word[:1] == OPEN:
-        position = depth = 0
-        for remaining, symbol in zip(range(n - 1, -1, -1), word):
-            if symbol == OPEN:
-                if depth >= remaining:
-                    break
-                position += rows[remaining][depth]
-                depth += 1
-            elif symbol == CLOSE:
-                if not depth:
-                    break
-                row = rows[remaining]
-                position += row[depth] + row[depth + 1]
-                depth -= 1
-            elif symbol != ZERO or depth > remaining:
-                break
-        else:
+        try:
+            position = _position(word, rows)
+        except IndexError:
+            # The word reads past the depth bound: deepen the table to one
+            # past the word's deepest depth and walk again.
+            _unique(word)
+            position = _position(word, _completion_rows(n, max(accumulate(map(_DELTA.get, word))) + 1))
+        if position is not None:
             return position
+    # On any fault, _unique names it.
     _unique(word)
     raise InternalError(f"rank refused the unique word {word!r}")
 
@@ -333,44 +407,57 @@ def rank(word: str) -> int:
 def unrank(index: int) -> str:
     """The unique word at ``index``; inverse of ``rank``.
 
-    Raises LimitExceededError when the word would be longer than
-    RANK_LIMIT, that is for an index at or beyond M_RANK_LIMIT.
+    Raises TypeError for an index that is not an integer, and
+    LimitExceededError when the word would be longer than RANK_LIMIT,
+    that is for an index at or beyond M_RANK_LIMIT.
     """
+    index = operator.index(index)
     if index < 0:
         raise ValueError("index must be nonnegative")
 
-    # Indexes below completion_count(0, n) = M_n have length <= n: grow
-    # the table a row at a time until it covers the index, then find the
-    # length in the rows built. An index of M_RANK_LIMIT or more is
-    # refused before any row is built; M_n >= 2^(n-1), so the recurrence
-    # runs only for an index of 2^(RANK_LIMIT-1) or more.
+    # Indexes below completion_count(0, n) = M_n have length <= n. The
+    # table grows to the length of an index it does not cover, found among
+    # M_0..M_(b+1) for an index of b bits, since M_n >= 2^(n-1); an index
+    # of M_RANK_LIMIT or more is refused before any row is built.
     rows = _ROWS
-    if rows[-1][0] <= index and index >> (RANK_LIMIT - 1) and index >= sequences.motzkin_numbers(RANK_LIMIT)[-1]:
-        raise LimitExceededError(f"length {RANK_LIMIT + 1} exceeds the rank bound {RANK_LIMIT}")
-    while rows[-1][0] <= index:
-        rows = _completion_rows(len(rows))
+    if rows[-1][0] <= index:
+        motzkin = sequences.motzkin_numbers(min(index.bit_length() + 1, RANK_LIMIT))
+        if index >= motzkin[-1]:
+            raise LimitExceededError(f"length {RANK_LIMIT + 1} exceeds the rank bound {RANK_LIMIT}")
+        rows = _completion_rows(bisect_right(motzkin, index))
     n = bisect_right(rows, index, lo=1, key=itemgetter(0))
 
     # The series index is the lexicographic index among all n-words: at
     # each step, the offset falls in the '0' block, the '(' block or,
     # past both, the ')' block. A block that no word can take reads 0 in
-    # the padded row, so the offset never falls in it.
+    # the padded row, so the offset never falls in it. The walk has read
+    # c(depth, r) one row up, so only c(depth + 1, r) can lie past the
+    # depth bound: on that IndexError, the '0' block is given back and the
+    # step runs again one column deeper. A column that still lacks the
+    # count is a fault, not a reason to retry.
     offset = index
     symbols = []
     depth = 0
-    for remaining in range(n - 1, -1, -1):
-        row = rows[remaining]
-        block = row[depth]
-        if offset < block:
-            symbols.append(ZERO)
-            continue
-        offset -= block
-        block = row[depth + 1]
-        if offset < block:
-            symbols.append(OPEN)
-            depth += 1
-            continue
-        offset -= block
-        symbols.append(CLOSE)
-        depth -= 1
-    return "".join(symbols)
+    remaining = n - 1
+    while True:
+        try:
+            for remaining in range(remaining, -1, -1):
+                row = rows[remaining]
+                block = row[depth]
+                if offset < block:
+                    symbols.append(ZERO)
+                    continue
+                offset -= block
+                block = row[depth + 1]
+                if offset < block:
+                    symbols.append(OPEN)
+                    depth += 1
+                    continue
+                offset -= block
+                symbols.append(CLOSE)
+                depth -= 1
+            return "".join(symbols)
+        except IndexError:
+            offset += block
+            if len(_completion_rows(n, depth + 1)[remaining]) <= depth + 1:
+                raise InternalError(f"the table holds no c({depth + 1}, {remaining})") from None

@@ -44,17 +44,28 @@ def wrong_product_coefficient(monkeypatch):
 def wrong_completion_row(monkeypatch):
     # Start the shared table cold, so the run builds every entry through
     # the mutant.
-    original = words._next_diagonal
+    original = words._add_diagonal
     monkeypatch.setattr(words, "_ROWS", [[1]])
 
-    def next_diagonal(rows):
-        original(rows)
-        # Wrong c(1, 5): it is built with the diagonal 1 + 5 = 6, and the
-        # later diagonals read it.
+    def add_diagonal(rows, top):
+        original(rows, top)
+        # Wrong c(1, 5): it is built with the diagonal 1 + 5 = 6, once the
+        # words of length 4 have deepened the table to depth 3. Diagonal 7
+        # carries the error down to its pad entry c(4, 3), so the table
+        # refuses to grow before the round trip reads it.
         if len(rows) == 7:
             rows[5][1] += 2
 
-    monkeypatch.setattr(words, "_next_diagonal", next_diagonal)
+    monkeypatch.setattr(words, "_add_diagonal", add_diagonal)
+
+
+def wrong_table_seed(monkeypatch):
+    # The table alone starts length 7 from M_7 + 2; every other route
+    # reads the true M_7. Cold, as above; the diagonal's pad entry c(4, 3)
+    # reads 2.
+    original = words._add_diagonal
+    monkeypatch.setattr(words, "_ROWS", [[1]])
+    monkeypatch.setattr(words, "_add_diagonal", lambda rows, top: original(rows, top + 2 * (len(rows) == 7)))
 
 
 def wrong_cursor_numerator(monkeypatch):
@@ -181,7 +192,8 @@ MUTANTS = [
     (constant_compare, {"unrank-order-coherence"}),
     (wrong_sqrt_coefficient, {"motzkin-functional-vs-closed-form"}),
     (wrong_product_coefficient, {"nat-product-vs-linear", "nat-series-vs-difference-table"}),
-    (wrong_completion_row, {"rank-unrank-roundtrip"}),
+    (wrong_completion_row, None),
+    (wrong_table_seed, None),
     (wrong_cursor_numerator, None),
     (wrong_natural_cursor_value, {"symdiff-vs-difference-table"}),
     (

@@ -14,6 +14,7 @@ import pytest
 
 from motzkin import (
     BadSymbolError,
+    InternalError,
     LimitExceededError,
     MotzkinError,
     MotzkinWordError,
@@ -21,7 +22,7 @@ from motzkin import (
     PrefixViolationError,
     UnbalancedError,
 )
-from motzkin import sequences, words
+from motzkin import cli, sequences, words
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -100,12 +101,18 @@ def cold_table():
     return [[1]]
 
 
-def table_layout(top):
-    """The exact shape of the completion table at length ``top``: row r
-    holds c(0, r), c(1, r), ... for h <= min(r + 2, top - r), pad zeros
-    past h = r included, as built by reference_rows."""
+def table_layout(top, depth):
+    """The exact shape of the completion table at length ``top`` and depth
+    bound ``depth``: row r holds c(0, r), c(1, r), ... for
+    h <= min(r + 2, top - r, depth), pad zeros past h = r included, as
+    built by reference_rows."""
     reference = reference_rows(top)
-    return [(reference[r] + [0, 0])[: min(r + 3, top + 1 - r)] for r in range(top + 1)]
+    return [(reference[r] + [0, 0])[: min(r + 3, top + 1 - r, depth + 1)] for r in range(top + 1)]
+
+
+def deepest(word):
+    """The most parentheses open after any prefix of ``word``."""
+    return max(accumulate(REFERENCE_DELTA[symbol] for symbol in word))
 
 
 REFERENCE_DELTA = {"0": 0, "(": 1, ")": -1}
@@ -493,6 +500,9 @@ class TestRank:
         assert str(caught.value) == f"not a Motzkin word: 1 unmatched '(' in {word!r}"
         if table == "cold":
             assert len(words._ROWS) == 1
+        else:
+            # The walk read past depth 0, but the word builds no column.
+            assert max(map(len, words._ROWS)) == 1
 
 
 class TestUnrank:
@@ -512,6 +522,17 @@ class TestUnrank:
         word = words.unrank(10**6)
         assert words.rank(word) == 10**6
 
+    @pytest.mark.parametrize("table", ["cold", "warm"])
+    def test_rejects_a_float(self, table, monkeypatch):
+        # A warm table once answered 8.9 with the word at index 8.
+        monkeypatch.setattr(words, "_ROWS", cold_table())
+        if table == "warm":
+            words.completion_count(0, 4)
+        with pytest.raises(TypeError):
+            words.unrank(8.9)
+        if table == "cold":
+            assert words._ROWS == cold_table()
+
 
 # Unranks each index read from stdin on a cold table; reports each
 # LimitExceededError message and the number of table rows afterwards.
@@ -527,17 +548,25 @@ for index in json.load(sys.stdin):
 print(json.dumps({"messages": messages, "rows": len(words._ROWS)}))
 """
 
-# Unranks the index read from stdin on a cold table; prints the peak RSS
-# of the process in MB. It reads VmHWM, the peak of this program alone:
-# ru_maxrss keeps the high-water mark of the process that started it
-# across exec, 150 MB and more under the test runner.
+# Calls words.<argv[1]> on the argument read from stdin on a cold table;
+# prints its result, the seconds it took and the peak RSS of the process
+# in MB. It reads VmHWM, the peak of this program alone: ru_maxrss keeps
+# the high-water mark of the process that started it across exec, 150 MB
+# and more under the test runner.
 PEAK_PROBE = """
-import json, sys
+import json, sys, time
 from motzkin import words
-words.unrank(json.load(sys.stdin))
+argument = json.load(sys.stdin)
+start = time.perf_counter()
+result = getattr(words, sys.argv[1])(argument)
+seconds = time.perf_counter() - start
 with open("/proc/self/status") as status:
-    print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024)
+    peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+print(json.dumps({"result": result, "seconds": seconds, "peak_mb": peak}))
 """
+
+# The deepest word at the bound, which reads every depth of the table.
+DEEPEST_WORD = "(" * (words.RANK_LIMIT // 2) + ")" * (words.RANK_LIMIT // 2)
 
 
 class TestRankLimit:
@@ -575,7 +604,27 @@ class TestRankLimit:
         # 84.3 MB of process with whole rows, about 46 MB with the rows cut
         # to what a walk can read.
         last = sequences.motzkin_numbers(words.RANK_LIMIT)[-1] - 1
-        assert run_fresh(PEAK_PROBE, "", last) < 60
+        assert run_fresh(PEAK_PROBE, "unrank", last)["peak_mb"] < 60
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_unrank_of_the_last_index_peaks_below_20_mb(self):
+        # M_1000 - 1 is "()()...()", which reads depth 2 at most, so its
+        # table holds three counts a row.
+        last = sequences.motzkin_numbers(words.RANK_LIMIT)[-1] - 1
+        report = run_fresh(PEAK_PROBE, "unrank", last)
+        assert report["result"] == "()" * (words.RANK_LIMIT // 2)
+        assert report["peak_mb"] < 20
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_deepest_word_peaks_below_60_mb(self):
+        # The deepest word at the bound needs every depth, the largest table
+        # either walk can build; each direction from a cold table.
+        ranked = run_fresh(PEAK_PROBE, "rank", DEEPEST_WORD)
+        unranked = run_fresh(PEAK_PROBE, "unrank", ranked["result"])
+        assert unranked["result"] == DEEPEST_WORD
+        for report in (ranked, unranked):
+            assert report["peak_mb"] < 60
+            assert report["seconds"] < 0.5
 
 
 # Ranks and unranks one word and one index per length, in the order of
@@ -617,6 +666,7 @@ print(json.dumps({
     "alive": sum(thread.is_alive() for thread in threads),
     "results": results,
     "rows": words._ROWS,
+    "depth": max(map(len, words._ROWS)) - 1,
     "counts_ok": [words.completion_count(0, n) for n in range(top + 1)] == sequences.motzkin_numbers(top),
 }))
 """
@@ -666,12 +716,55 @@ class TestSharedTable:
         assert report["alive"] == 0
         expected = [[words.rank(a) if op == "rank" else words.unrank(a) for op, a in calls] for calls in jobs]
         assert report["results"] == expected
-        assert report["rows"] == table_layout(400)
+        # The depth bound is one past the deepest depth of any word walked.
+        walked = [a if op == "rank" else word for calls, results in zip(jobs, expected) for (op, a), word in zip(calls, results)]
+        assert report["depth"] == 1 + max(map(deepest, walked))
+        assert report["rows"] == table_layout(400, report["depth"])
         assert report["counts_ok"]
 
+    @pytest.mark.parametrize("order", ["length-first", "depth-first", "interleaved"])
+    def test_growth_order_does_not_change_the_table(self, order, monkeypatch):
+        # Lengths grow by diagonals down from M_n and depths by columns;
+        # whatever the order, every entry held must be the upward build's.
+        monkeypatch.setattr(words, "_ROWS", cold_table())
+        top, depth = 60, 20
+        if order == "length-first":
+            steps = [(top, 0), (top, depth)]
+        elif order == "depth-first":
+            steps = [(2 * h, h) for h in range(1, depth + 1)] + [(top, depth)]
+        else:
+            rng = random.Random(60)
+            lengths = sorted(rng.sample(range(1, top), 9)) + [top]
+            depths = sorted(rng.sample(range(1, depth), 9)) + [depth]
+            steps = [(n, min(h, (n + 2) // 2)) for n, h in zip(lengths, depths)]
+        for length, deepest_read in steps:
+            words._completion_rows(length, deepest_read)
+            assert words._ROWS == table_layout(length, deepest_read)
+
+    @pytest.mark.parametrize("first", ["", "(((())))"], ids=["by-column", "by-diagonal"])
+    def test_wrong_motzkin_number_fails_a_pad(self, first, monkeypatch, capsys):
+        # The table starts each length from M_n and counts down; with M_9
+        # one too high, the first pad entry that reads it is 1. From a cold
+        # table a column finds it; after a word of length 8 and depth 4 the
+        # table is 5 deep, and diagonal 9 finds it.
+        original = sequences.motzkin_numbers
+        monkeypatch.setattr(sequences, "motzkin_numbers", lambda n_max: [m + (n == 9) for n, m in enumerate(original(n_max))])
+        word = "(" * 5 + ")" * 5
+        monkeypatch.setattr(words, "_ROWS", cold_table())
+        if first:
+            words.rank(first)
+        with pytest.raises(InternalError) as caught:
+            words.rank(word)
+        assert str(caught.value) == "c(5, 4) = 1, not 0"
+        words._ROWS = cold_table()
+        assert cli.main(["rank", "--word", word]) == 3
+        assert capsys.readouterr().err.startswith("error: INTERNAL: ")
+
     def test_ascending_growth_is_cheap(self):
-        # 0.16-0.21 s on a 2-CPU VM; whole rows took 0.24-0.31 s, and a
-        # table that copied each row to extend it took 1.1-1.5 s.
+        # 0.47-0.49 s on a 2-CPU VM, 0.31 s of it in the one
+        # motzkin_numbers call that starts each new length; the upward
+        # running sum took 0.16-0.24 s, whole rows 0.24-0.31 s, and a
+        # table that copied each row to extend it 1.1-1.5 s.
         assert run_fresh(ASCENDING_PROBE, str(words.RANK_LIMIT), None) < 1
 
     def test_batch_calls_reuse_the_table(self):
