@@ -40,43 +40,44 @@ skips the '0' and '(' blocks, and '0' skips nothing. ``rank`` adds those
 sums; ``unrank`` compares the offset left with the '0' block, then with
 the '(' block, and takes ')' past both.
 
-A walk of length n stands at depth h <= min(n - 1 - r, r + 1) when r
-symbols follow and reads depths h and h + 1, so the table up to length N
-keeps only the region r + h <= N, h <= r + 2, and only the depths up to
-its depth bound D, the deepest h + 1 that any walk has read so far. D is
-not an option: a walk that reads past it gets an IndexError, and the
-table grows by one column per missed depth (``rank`` only after the
-word is checked, to the word's deepest depth plus one; ``unrank`` one
-column at a time, resuming its walk). Random words of length n reach
-depths of order sqrt(n), so a table of N rows holds about N * D counts:
-24 random words of length 400 left 16465 counts in 1.2 MB (tracemalloc),
-where every depth takes 40801 counts in 2.9 MB.
+The table is stored by columns: column h is [c(h, 0), ..., c(h, N - h)]
+up to length N, so column 0 is M_0..M_N and a pad entry c(h, r) with
+h > r, a count that would close more than the symbols left can, is
+stored as the 0 it must be. A walk of length n stands at depth
+h <= n - 1 - r when r symbols follow and reads depths h and h + 1, so
+the table keeps only the region r + h <= N, and only the depths up to
+its depth bound D = len(columns) - 1, the deepest h + 1 that any walk
+has read so far. D is not an option: ``rank`` deepens the table after
+the word is checked, to the word's deepest depth plus one, and
+``unrank`` one column at a time as its walk reaches it. Random words of
+length n reach depths of order sqrt(n), so a table of length N holds
+about N * D counts: 24 random words of length 400 left 17411 counts in
+1.2 MB (tracemalloc), where every depth takes 60701 counts in 3.0 MB.
 
-The table is built down from the Motzkin numbers, by the recurrence
-c(h + 1, r) = c(h, r + 1) - c(h, r) - c(h - 1, r) from c(0, r) = M_r:
-a new length adds one diagonal r + h = N, a new depth one column. Both
-check every pad entry, a count c(h, r) with h > r that would close more
-than the symbols left can: it must come out 0, or InternalError is
-raised and no row changes. So each grown row ties the triangle to the
-Motzkin values, and where a row holds every depth it ends in two zeros;
-every block either walk can reach reads as a number and a block no word
-can take reads 0. ``rank`` checks the word in the same walk under one
-rule: '0' and '(' must leave no more open than the rest can close, and
-')' must close an open '('. A symbol outside the alphabet or one that
-breaks the rule stops it, and ``validate`` then names the fault; a walk
-that reaches the end is at depth 0. The table is built once per process
-and only grows, and only for a word already checked, so a malformed
-word builds no row or column; lengths above RANK_LIMIT raise
-LimitExceededError, and ``unrank`` refuses an index of M_RANK_LIMIT or
-more without building the table.
+One routine grows the table, down from the Motzkin numbers: column 0 is
+read from ``sequences.motzkin_numbers``, and column h follows from
+columns h - 1 and h - 2 by
+c(h, r) = c(h - 1, r + 1) - c(h - 1, r) - c(h - 2, r). It extends every column to the new length, adds the missing
+depths, checks every pad entry it built and only then publishes the new
+table whole, so a caller holds either the old table or the new one. A
+pad that is not 0 raises InternalError and publishes nothing. So each
+growth ties the table to the Motzkin values; every block either walk can
+reach reads as a number and a block no word can take reads 0. ``rank``
+checks the word in the same walk under one rule: '0' and '(' must leave
+no more open than the rest can close, and ')' must close an open '('. A
+symbol outside the alphabet or one that breaks the rule stops it, and
+``validate`` then names the fault; a walk that reaches the end is at
+depth 0. The table is built once per process and only grows, and only
+for a word already checked, so a malformed word builds no length or
+depth; lengths above RANK_LIMIT raise LimitExceededError, and ``unrank``
+refuses an index of M_RANK_LIMIT or more without building the table.
 """
 
 import operator
 import threading
 from bisect import bisect_right
 from collections.abc import Iterator
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, repeat
 
 from . import sequences
 from .errors import (
@@ -106,9 +107,9 @@ INHERITED = "inherited"
 ENUMERATION_LIMIT = 16
 
 # The completion table stays for the life of the process. The deepest
-# word of this length, "(" * 500 + ")" * 500, needs every depth and
-# O(n^3) bits: 30 MB of table (tracemalloc; the process peaks at 45 MB).
-# The shallow M_1000 - 1 needs 0.5 MB (14 MB of process).
+# word of this length, "(" * 500 + ")" * 500, needs 502 columns and
+# O(n^3) bits: 32 MB of table (tracemalloc; the process peaks at 46 MB).
+# The shallow M_1000 - 1 needs three columns, 0.4 MB (15 MB of process).
 RANK_LIMIT = 1000
 
 FILTERS = ("all", UNIQUE, INHERITED)
@@ -152,8 +153,6 @@ def compare(first: str, second: str) -> int:
     Shorter words come first; equal lengths compare lexicographically
     with '0' < '(' < ')'.
     """
-    validate(first)
-    validate(second)
     a, b = sort_key(first), sort_key(second)
     if a < b:
         return -1
@@ -161,102 +160,67 @@ def compare(first: str, second: str) -> int:
 
 
 def sort_key(word: str):
-    """Sorting key realizing the same order as ``compare``."""
+    """Sorting key realizing the same order as ``compare``; raises what
+    ``validate`` raises for a string that is not a Motzkin word."""
+    validate(word)
     # From a list, not a generator: tuple() guesses a generator's length,
     # and each resized tuple is parked in the interpreter's tuple free
     # lists, so repeated calls grow the process by hundreds of KB.
     return len(word), tuple([_SYMBOL_RANK[symbol] for symbol in word])
 
 
-def _depth(rows: list[list[int]]) -> int:
-    """D, the deepest depth that the table in ``rows`` holds. Row r holds
-    min(r + 2, N - r, D) + 1 entries, and min(r + 2, N - r) peaks at row
-    max(N - 2, 0) // 2, where it is never below a depth that a walk of
-    length <= N reads."""
-    return len(rows[max(len(rows) - 3, 0) // 2]) - 1
-
-
-def _check_pad(h: int, r: int, count: int) -> None:
-    """Raise InternalError unless the pad entry c(h, r), h > r, is 0: it
-    counts the ways to close more parentheses than symbols are left."""
-    if count:
-        raise InternalError(f"c({h}, {r}) = {count}, not 0")
-
-
-def _add_diagonal(rows: list[list[int]], top: int) -> None:
-    """Grow the table in ``rows`` from length N = len(rows) - 1 to N + 1,
-    in place, from ``top`` = M_(N+1): append c(h, N + 1 - h) to each row
-    that holds depth h, then publish row N + 1 = [M_(N+1)].
-
-    Down the diagonal r + h = N + 1 the recurrence reads
-    c(h, r) = c(h - 1, r + 1) - c(h - 1, r) - c(h - 2, r): the entry one
-    row up on the same diagonal, less the last two entries of row r, on
-    diagonals N and N - 1 (row N holds only M_N; c(-1, N) is 0). It stops
-    at the depth bound D <= (N + 2) // 2, so it holds at most one pad
-    entry, c(r + 1, r). Every pad entry is checked before any row
-    changes."""
-    n = len(rows)
-    counts = [top]
-    for h in range(1, _depth(rows) + 1):
-        row = rows[n - h]
-        counts.append(counts[-1] - row[-1] - (row[-2] if h > 1 else 0))
-    for h in range(n // 2 + 1, len(counts)):
-        _check_pad(h, n - h, counts[h])
-    for h in range(1, len(counts)):
-        rows[n - h].append(counts[h])
-    rows.append([top])
-
-
-def _add_column(rows: list[list[int]], h: int) -> None:
-    """Deepen the table in ``rows`` from depth bound h - 1 to h, in place:
-    append c(h, r) to every row h - 2 <= r <= N - h, by the recurrence of
-    ``_add_diagonal``. Each of those rows ends at depth h - 1, and so does
-    the row above it. Every pad entry is checked before any row changes."""
-    first = max(h - 2, 0)
-    below = rows[first : len(rows) - h]
-    counts = [above[-1] - row[-1] - (row[-2] if h > 1 else 0) for row, above in zip(below, rows[first + 1 :])]
-    for r in range(first, min(h, first + len(counts))):
-        _check_pad(h, r, counts[r - first])
-    for row, count in zip(below, counts):
-        row.append(count)
-
-
-# The completion table up to length N = len(_ROWS) - 1 and depth bound
-# D = _depth(_ROWS), shared by every call: row r is [c(0, r), c(1, r), ...]
-# for h <= min(r + 2, N - r, D), so row N is [M_N]. A walk of length
-# n <= N at row r stands at depth h <= min(n - 1 - r, r + 1) and reads
-# c(h, r) and c(h + 1, r), inside the first two bounds; D is the deepest
-# h + 1 that any walk has read, and a walk that needs more gets an
-# IndexError and grows the table. Growth appends in place, only past
-# every entry that a published length or depth can read, and appends row
-# N + 1 last, so readers need no lock; growers hold _GROWING, one at a
-# time.
-_ROWS: list[list[int]] = [[1]]
+# The completion table up to length N = len(_COLUMNS[0]) - 1 and depth
+# bound D = len(_COLUMNS) - 1, shared by every call: column h is
+# [c(h, 0), ..., c(h, N - h)], so column 0 is M_0..M_N and the pad entries
+# c(h, r) with h > r hold the zeros they must. A walk of length n <= N
+# stands at depth h <= n - 1 - r when r symbols follow and reads c(h, r)
+# and c(h + 1, r), both held once D >= h + 1; D is the deepest h + 1 that
+# any walk has read. A published table never changes: growth builds the next
+# one whole, under _GROWING, and then rebinds _COLUMNS, so a reader's
+# snapshot is always a whole table and readers need no lock.
+_COLUMNS: list[list[int]] = [[1]]
 _GROWING = threading.Lock()
 
 
-def _completion_rows(length: int, depth: int = 0) -> list[list[int]]:
-    """The completion table up to length ``length`` at least, and up to
-    depth ``depth`` when one is given: rows r = 0..N, where rows[r][h]
-    counts the ways to finish from h open parentheses in exactly r
-    symbols, for h <= min(r + 2, N - r, D).
+def _grow(length: int, depth: int = 0) -> list[list[int]]:
+    """The completion table up to length ``length`` and depth ``depth`` at
+    least: columns h = 0..D, where column h counts the ways to finish from
+    h open parentheses in exactly r = 0..N - h symbols.
 
-    Each new length starts from M_N, read from ``motzkin_numbers``. A
-    depth is checked under the lock: a column is appended one row at a
-    time, so only the lock tells a whole column from a growing one.
-    Raises LimitExceededError for a length above RANK_LIMIT.
+    Column 0 is read from ``motzkin_numbers``, and column h follows from
+    columns h - 1 and h - 2 by c(h, r) =
+    c(h - 1, r + 1) - c(h - 1, r) - c(h - 2, r). Each pad entry built,
+    c(h, r) with h > r, counts the ways to close more parentheses than
+    symbols are left, so it must be 0; otherwise InternalError is raised
+    and nothing is published. Raises LimitExceededError for a length
+    above RANK_LIMIT.
     """
+    global _COLUMNS
     if length > RANK_LIMIT:
         raise LimitExceededError(f"length {length} exceeds the rank bound {RANK_LIMIT}")
-    rows = _ROWS
-    if len(rows) <= length or depth:
-        with _GROWING:
-            if len(rows) <= length:
-                for top in sequences.motzkin_numbers(length)[len(rows) :]:
-                    _add_diagonal(rows, top)
-            for h in range(_depth(rows) + 1, depth + 1):
-                _add_column(rows, h)
-    return rows
+    columns = _COLUMNS
+    if length < len(columns[0]) and depth < len(columns):
+        return columns
+    with _GROWING:
+        columns = _COLUMNS
+        n = max(length, len(columns[0]) - 1)
+        grown = []
+        for h in range(max(depth, len(columns) - 1) + 1):
+            column = columns[h] if h < len(columns) else []
+            start = len(column)
+            if start <= n - h:
+                if h:
+                    above = grown[h - 1][start:]
+                    below = grown[h - 2][start:] if h > 1 else repeat(0)
+                    column = column + [b - a - c for a, b, c in zip(above, above[1:], below)]
+                else:
+                    column = column + sequences.motzkin_numbers(n)[start:]
+                for r in range(start, min(h, len(column))):
+                    if column[r]:
+                        raise InternalError(f"c({h}, {r}) = {column[r]}, not 0")
+            grown.append(column)
+        _COLUMNS = grown
+    return grown
 
 
 def completion_count(depth: int, remaining: int) -> int:
@@ -274,7 +238,7 @@ def completion_count(depth: int, remaining: int) -> int:
         raise ValueError("depth and remaining must be nonnegative")
     if depth > remaining:
         return 0
-    return _completion_rows(depth + remaining, depth)[remaining][depth]
+    return _grow(depth + remaining, depth)[depth][remaining]
 
 
 def word_blocks(n: int, kind: str = "all") -> Iterator[list[str]]:
@@ -346,28 +310,27 @@ def _unique(word: str) -> None:
         raise NotUniqueError(f"{word!r} has no position in the series")
 
 
-def _position(word: str, rows: list[list[int]]) -> int | None:
+def _position(word: str, columns: list[list[int]]) -> int | None:
     """The lexicographic index of a word that starts with '0' or '(' among
     all words of its length, or None when the walk refuses the word.
 
     At each step, skip the blocks of the smaller symbols. The same walk
     checks the word: '0' and '(' must leave no more open than the rest can
-    close, and ')' must close an open '('. So depth never exceeds the
-    symbols left, every block read lies in its padded row up to the depth
-    bound, and a walk that reaches the end is at depth 0. A read past the
-    depth bound raises IndexError."""
+    close, and ')' must close an open '('. So a walk that reaches the end
+    is at depth 0, and every block read lies in its column, pad zeros
+    included, when the column is there. A read past the depth bound
+    raises IndexError."""
     position = depth = 0
     for remaining, symbol in zip(range(len(word) - 1, -1, -1), word):
         if symbol == OPEN:
             if depth >= remaining:
                 return None
-            position += rows[remaining][depth]
+            position += columns[depth][remaining]
             depth += 1
         elif symbol == CLOSE:
             if not depth:
                 return None
-            row = rows[remaining]
-            position += row[depth] + row[depth + 1]
+            position += columns[depth][remaining] + columns[depth + 1][remaining]
             depth -= 1
         elif symbol != ZERO or depth > remaining:
             return None
@@ -382,21 +345,21 @@ def rank(word: str) -> int:
     word longer than RANK_LIMIT.
     """
     # Only a checked word may grow the table: a malformed word builds no
-    # row or column, and its fault is reported before a length above
+    # length or depth, and its fault is reported before a length above
     # RANK_LIMIT.
     n = len(word)
-    rows = _ROWS
-    if n >= len(rows):
+    columns = _COLUMNS
+    if n >= len(columns[0]):
         _unique(word)
-        rows = _completion_rows(n)
+        columns = _grow(n)
     if word == ZERO or word[:1] == OPEN:
         try:
-            position = _position(word, rows)
+            position = _position(word, columns)
         except IndexError:
             # The word reads past the depth bound: deepen the table to one
             # past the word's deepest depth and walk again.
             _unique(word)
-            position = _position(word, _completion_rows(n, max(accumulate(map(_DELTA.get, word))) + 1))
+            position = _position(word, _grow(n, max(accumulate(map(_DELTA.get, word))) + 1))
         if position is not None:
             return position
     # On any fault, _unique names it.
@@ -417,47 +380,43 @@ def unrank(index: int) -> str:
 
     # Indexes below completion_count(0, n) = M_n have length <= n. The
     # table grows to the length of an index it does not cover, found among
-    # M_0..M_(b+1) for an index of b bits, since M_n >= 2^(n-1); an index
-    # of M_RANK_LIMIT or more is refused before any row is built.
-    rows = _ROWS
-    if rows[-1][0] <= index:
+    # M_0..M_(b+1) for an index of b bits, since M_n >= 2^(n-1), and to
+    # depth 1, which the walk holds from its first step; an index of
+    # M_RANK_LIMIT or more is refused before the table grows.
+    columns = _COLUMNS
+    if columns[0][-1] <= index or len(columns) < 2:
         motzkin = sequences.motzkin_numbers(min(index.bit_length() + 1, RANK_LIMIT))
         if index >= motzkin[-1]:
             raise LimitExceededError(f"length {RANK_LIMIT + 1} exceeds the rank bound {RANK_LIMIT}")
-        rows = _completion_rows(bisect_right(motzkin, index))
-    n = bisect_right(rows, index, lo=1, key=itemgetter(0))
+        columns = _grow(bisect_right(motzkin, index), 1)
+    n = bisect_right(columns[0], index, lo=1)
 
     # The series index is the lexicographic index among all n-words: at
-    # each step, the offset falls in the '0' block, the '(' block or,
-    # past both, the ')' block. A block that no word can take reads 0 in
-    # the padded row, so the offset never falls in it. The walk has read
-    # c(depth, r) one row up, so only c(depth + 1, r) can lie past the
-    # depth bound: on that IndexError, the '0' block is given back and the
-    # step runs again one column deeper. A column that still lacks the
-    # count is a fault, not a reason to retry.
+    # each step, the offset falls in the '0' block of the column at the
+    # current depth, the '(' block of the next column or, past both, the
+    # ')' block. A block that no word can take reads 0, so the offset
+    # never falls in it. The walk holds both columns, and the table
+    # deepens when the walk enters the depth bound.
     offset = index
     symbols = []
     depth = 0
-    remaining = n - 1
-    while True:
-        try:
-            for remaining in range(remaining, -1, -1):
-                row = rows[remaining]
-                block = row[depth]
-                if offset < block:
-                    symbols.append(ZERO)
-                    continue
-                offset -= block
-                block = row[depth + 1]
-                if offset < block:
-                    symbols.append(OPEN)
-                    depth += 1
-                    continue
-                offset -= block
-                symbols.append(CLOSE)
-                depth -= 1
-            return "".join(symbols)
-        except IndexError:
-            offset += block
-            if len(_completion_rows(n, depth + 1)[remaining]) <= depth + 1:
-                raise InternalError(f"the table holds no c({depth + 1}, {remaining})") from None
+    here, deeper = columns[0], columns[1]
+    for remaining in range(n - 1, -1, -1):
+        block = here[remaining]
+        if offset < block:
+            symbols.append(ZERO)
+            continue
+        offset -= block
+        block = deeper[remaining]
+        if offset < block:
+            symbols.append(OPEN)
+            depth += 1
+            if depth + 1 == len(columns):
+                columns = _grow(n, depth + 1)
+            here, deeper = deeper, columns[depth + 1]
+            continue
+        offset -= block
+        symbols.append(CLOSE)
+        depth -= 1
+        here, deeper = columns[depth], here
+    return "".join(symbols)

@@ -44,28 +44,37 @@ def wrong_product_coefficient(monkeypatch):
 def wrong_completion_row(monkeypatch):
     # Start the shared table cold, so the run builds every entry through
     # the mutant.
-    original = words._add_diagonal
-    monkeypatch.setattr(words, "_ROWS", [[1]])
+    original = words._grow
+    monkeypatch.setattr(words, "_COLUMNS", [[1]])
 
-    def add_diagonal(rows, top):
-        original(rows, top)
-        # Wrong c(1, 5): it is built with the diagonal 1 + 5 = 6, once the
-        # words of length 4 have deepened the table to depth 3. Diagonal 7
-        # carries the error down to its pad entry c(4, 3), so the table
+    def grow(length, depth=0):
+        built = len(words._COLUMNS[0])
+        columns = original(length, depth)
+        # Wrong c(1, 5): it is built with length 6, once the words of
+        # length 4 have deepened the table to depth 3. Growing to length 7
+        # carries the error down to the pad entry c(4, 3), so the table
         # refuses to grow before the round trip reads it.
-        if len(rows) == 7:
-            rows[5][1] += 2
+        if built <= 6 < len(columns[0]):
+            columns[1][5] += 2
+        return columns
 
-    monkeypatch.setattr(words, "_add_diagonal", add_diagonal)
+    monkeypatch.setattr(words, "_grow", grow)
 
 
 def wrong_table_seed(monkeypatch):
-    # The table alone starts length 7 from M_7 + 2; every other route
-    # reads the true M_7. Cold, as above; the diagonal's pad entry c(4, 3)
-    # reads 2.
-    original = words._add_diagonal
-    monkeypatch.setattr(words, "_ROWS", [[1]])
-    monkeypatch.setattr(words, "_add_diagonal", lambda rows, top: original(rows, top + 2 * (len(rows) == 7)))
+    # The table alone starts length 7 from M_7 + 2: the growth routine
+    # reads the wrong M_7, every other route the true one. Cold, as above;
+    # the pad entry c(4, 3) reads 2.
+    original = words._grow
+    numbers = sequences.motzkin_numbers
+    monkeypatch.setattr(words, "_COLUMNS", [[1]])
+
+    def grow(length, depth=0):
+        with monkeypatch.context() as table_only:
+            table_only.setattr(sequences, "motzkin_numbers", lambda n_max: _bump(numbers(n_max), 7))
+            return original(length, depth)
+
+    monkeypatch.setattr(words, "_grow", grow)
 
 
 def wrong_cursor_numerator(monkeypatch):

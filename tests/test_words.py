@@ -102,12 +102,11 @@ def cold_table():
 
 
 def table_layout(top, depth):
-    """The exact shape of the completion table at length ``top`` and depth
-    bound ``depth``: row r holds c(0, r), c(1, r), ... for
-    h <= min(r + 2, top - r, depth), pad zeros past h = r included, as
-    built by reference_rows."""
+    """The exact completion table at length ``top`` and depth bound
+    ``depth``: column h = 0..depth holds c(h, 0), ..., c(h, top - h), pad
+    zeros at r < h included, as built by reference_rows."""
     reference = reference_rows(top)
-    return [(reference[r] + [0, 0])[: min(r + 3, top + 1 - r, depth + 1)] for r in range(top + 1)]
+    return [[reference[r][h] if h <= r else 0 for r in range(top + 1 - h)] for h in range(depth + 1)]
 
 
 def deepest(word):
@@ -225,7 +224,7 @@ RANK_VERDICTS = [
 ]
 
 # Ranks each word read from stdin on a cold table; reports each error
-# type and the number of table rows afterwards.
+# type and the table afterwards.
 GROWTH_PROBE = """
 import json, sys
 from motzkin import MotzkinError, words
@@ -235,7 +234,7 @@ for word in json.load(sys.stdin):
         words.rank(word)
     except MotzkinError as exc:
         errors.append(type(exc).__name__)
-print(json.dumps({"errors": errors, "rows": len(words._ROWS)}))
+print(json.dumps({"errors": errors, "columns": words._COLUMNS}))
 """
 
 
@@ -300,6 +299,16 @@ class TestCompare:
         listing = words.enumerate_words(4, "all")
         assert listing == sorted(brute_force_words(4), key=words.sort_key)
 
+    @pytest.mark.parametrize("text, error, message", [verdict for verdict in VALIDATE_VERDICTS if verdict[1]])
+    def test_faults_raise_validates_verdict(self, text, error, message):
+        # Each word's first fault, as validate names it; compare checks its
+        # first argument first.
+        for call in (lambda: words.sort_key(text), lambda: words.compare(text, ")"), lambda: words.compare("0", text)):
+            with pytest.raises(MotzkinWordError) as caught:
+                call()
+            assert type(caught.value) is error
+            assert str(caught.value) == message
+
 
 class TestCompletionCount:
     def test_motzkin_identity(self):
@@ -316,7 +325,7 @@ class TestCompletionCount:
         # Oracle: walk every suffix of each length once; a suffix finishes
         # from depth h when its running sum never falls below -h and ends
         # at -h. Every pair with depth + remaining <= 12, from a cold table.
-        monkeypatch.setattr(words, "_ROWS", cold_table())
+        monkeypatch.setattr(words, "_COLUMNS", cold_table())
         for remaining in range(13):
             finishing = Counter()
             for suffix in product((0, 1, -1), repeat=remaining):
@@ -326,11 +335,12 @@ class TestCompletionCount:
                 assert words.completion_count(depth, remaining) == expected
 
     def test_unreachable_depth(self, monkeypatch):
-        # A depth above the symbols left counts 0 at any size, with no row.
-        monkeypatch.setattr(words, "_ROWS", cold_table())
+        # A depth above the symbols left counts 0 at any size, and builds
+        # nothing.
+        monkeypatch.setattr(words, "_COLUMNS", cold_table())
         for depth, remaining in [(5, 3), (1, 0), (words.RANK_LIMIT + 1, words.RANK_LIMIT), (10**6, 2)]:
             assert words.completion_count(depth, remaining) == 0
-        assert words._ROWS == cold_table()
+        assert words._COLUMNS == cold_table()
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -454,8 +464,8 @@ class TestRank:
     @pytest.mark.parametrize("table", ["cold", "warm"])
     def test_matches_the_checked_walk_on_every_short_string(self, table, monkeypatch):
         # Every string over "0()x" of length <= 8, against classify and
-        # then the block-sum walk; a cold table starts each call at one row.
-        monkeypatch.setattr(words, "_ROWS", cold_table())
+        # then the block-sum walk; a cold table starts each call at length 0.
+        monkeypatch.setattr(words, "_COLUMNS", cold_table())
         rows = reference_rows(8)
         if table == "warm":
             words.completion_count(0, 8)
@@ -463,22 +473,22 @@ class TestRank:
             for symbols in product("0()x", repeat=n):
                 word = "".join(symbols)
                 if table == "cold":
-                    words._ROWS = cold_table()
+                    words._COLUMNS = cold_table()
                 expected = checked_walk_verdict(word, rows)
                 try:
                     assert words.rank(word) == expected
                 except MotzkinError as exc:
                     assert (type(exc), str(exc)) == expected
                     if table == "cold":
-                        assert len(words._ROWS) == 1
+                        assert words._COLUMNS == cold_table()
 
     def test_malformed_words_grow_no_table(self):
         report = run_fresh(GROWTH_PROBE, "", [")(" * 500, "(" * 999 + "0"])
-        assert report == {"errors": ["NotUniqueError"] * 2, "rows": 1}
+        assert report == {"errors": ["NotUniqueError"] * 2, "columns": cold_table()}
 
     def test_closing_runs_match_the_reference_walk(self):
         # In each of these words a ')' runs at one more depth than the
-        # symbols left after it, where its '(' block reads past the row.
+        # symbols left after it, where its '(' block is a pad zero.
         rows = reference_rows(words.RANK_LIMIT)
         for k in range(1, 501):
             for word in ("(" * k + ")" * k, "(" * k + "0" + ")" * k, "(" + "0" * k + ")"):
@@ -492,17 +502,17 @@ class TestRank:
     def test_unclosable_zero_is_refused(self, table, monkeypatch):
         # The second '0' leaves 300 open with 299 symbols left.
         word = "(" * 300 + "00" + ")" * 299
-        monkeypatch.setattr(words, "_ROWS", cold_table())
+        monkeypatch.setattr(words, "_COLUMNS", cold_table())
         if table == "warm":
             words.completion_count(0, len(word))
         with pytest.raises(NotUniqueError) as caught:
             words.rank(word)
         assert str(caught.value) == f"not a Motzkin word: 1 unmatched '(' in {word!r}"
         if table == "cold":
-            assert len(words._ROWS) == 1
+            assert words._COLUMNS == cold_table()
         else:
             # The walk read past depth 0, but the word builds no column.
-            assert max(map(len, words._ROWS)) == 1
+            assert len(words._COLUMNS) == 1
 
 
 class TestUnrank:
@@ -525,17 +535,17 @@ class TestUnrank:
     @pytest.mark.parametrize("table", ["cold", "warm"])
     def test_rejects_a_float(self, table, monkeypatch):
         # A warm table once answered 8.9 with the word at index 8.
-        monkeypatch.setattr(words, "_ROWS", cold_table())
+        monkeypatch.setattr(words, "_COLUMNS", cold_table())
         if table == "warm":
             words.completion_count(0, 4)
         with pytest.raises(TypeError):
             words.unrank(8.9)
         if table == "cold":
-            assert words._ROWS == cold_table()
+            assert words._COLUMNS == cold_table()
 
 
 # Unranks each index read from stdin on a cold table; reports each
-# LimitExceededError message and the number of table rows afterwards.
+# LimitExceededError message and the table afterwards.
 FAR_INDEX_PROBE = """
 import json, sys
 from motzkin import LimitExceededError, words
@@ -545,7 +555,7 @@ for index in json.load(sys.stdin):
         words.unrank(index)
     except LimitExceededError as exc:
         messages.append(str(exc))
-print(json.dumps({"messages": messages, "rows": len(words._ROWS)}))
+print(json.dumps({"messages": messages, "columns": words._COLUMNS}))
 """
 
 # Calls words.<argv[1]> on the argument read from stdin on a cold table;
@@ -587,16 +597,17 @@ class TestRankLimit:
         with pytest.raises(LimitExceededError):
             words.unrank(10**3000)
         last = words.unrank(motzkin[-1] - 1)
-        assert len(words._ROWS) == words.RANK_LIMIT + 1
+        assert len(words._COLUMNS[0]) == words.RANK_LIMIT + 1
         assert len(last) == words.RANK_LIMIT
         assert words.rank(last) == motzkin[-1] - 1
 
     def test_unrank_refuses_far_indexes_without_building(self):
-        # Every index of M_RANK_LIMIT or more is refused without a table row.
+        # Every index of M_RANK_LIMIT or more is refused without growing the
+        # table.
         first_refused = sequences.motzkin_numbers(words.RANK_LIMIT)[-1]
         report = run_fresh(FAR_INDEX_PROBE, "", [10**3000, 3**words.RANK_LIMIT, first_refused])
         message = "length 1001 exceeds the rank bound 1000"
-        assert report == {"messages": [message] * 3, "rows": 1}
+        assert report == {"messages": [message] * 3, "columns": cold_table()}
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_unrank_at_the_limit_peaks_below_60_mb(self):
@@ -665,8 +676,8 @@ top = int(sys.argv[1])
 print(json.dumps({
     "alive": sum(thread.is_alive() for thread in threads),
     "results": results,
-    "rows": words._ROWS,
-    "depth": max(map(len, words._ROWS)) - 1,
+    "columns": words._COLUMNS,
+    "depth": len(words._COLUMNS) - 1,
     "counts_ok": [words.completion_count(0, n) for n in range(top + 1)] == sequences.motzkin_numbers(top),
 }))
 """
@@ -719,14 +730,14 @@ class TestSharedTable:
         # The depth bound is one past the deepest depth of any word walked.
         walked = [a if op == "rank" else word for calls, results in zip(jobs, expected) for (op, a), word in zip(calls, results)]
         assert report["depth"] == 1 + max(map(deepest, walked))
-        assert report["rows"] == table_layout(400, report["depth"])
+        assert report["columns"] == table_layout(400, report["depth"])
         assert report["counts_ok"]
 
     @pytest.mark.parametrize("order", ["length-first", "depth-first", "interleaved"])
     def test_growth_order_does_not_change_the_table(self, order, monkeypatch):
-        # Lengths grow by diagonals down from M_n and depths by columns;
-        # whatever the order, every entry held must be the upward build's.
-        monkeypatch.setattr(words, "_ROWS", cold_table())
+        # Lengths and depths grow down from M_n in one routine; whatever the
+        # order, every entry held must be the upward build's.
+        monkeypatch.setattr(words, "_COLUMNS", cold_table())
         top, depth = 60, 20
         if order == "length-first":
             steps = [(top, 0), (top, depth)]
@@ -738,25 +749,32 @@ class TestSharedTable:
             depths = sorted(rng.sample(range(1, depth), 9)) + [depth]
             steps = [(n, min(h, (n + 2) // 2)) for n, h in zip(lengths, depths)]
         for length, deepest_read in steps:
-            words._completion_rows(length, deepest_read)
-            assert words._ROWS == table_layout(length, deepest_read)
+            words._grow(length, deepest_read)
+            assert words._COLUMNS == table_layout(length, deepest_read)
 
     @pytest.mark.parametrize("first", ["", "(((())))"], ids=["by-column", "by-diagonal"])
     def test_wrong_motzkin_number_fails_a_pad(self, first, monkeypatch, capsys):
         # The table starts each length from M_n and counts down; with M_9
         # one too high, the first pad entry that reads it is 1. From a cold
-        # table a column finds it; after a word of length 8 and depth 4 the
-        # table is 5 deep, and diagonal 9 finds it.
+        # table, deepening to depth 6 at length 10 finds it; after a word of
+        # length 8 and depth 4 the table is 5 deep, and growing it to length
+        # 10 finds it. Either way the failed growth publishes nothing.
         original = sequences.motzkin_numbers
         monkeypatch.setattr(sequences, "motzkin_numbers", lambda n_max: [m + (n == 9) for n, m in enumerate(original(n_max))])
         word = "(" * 5 + ")" * 5
-        monkeypatch.setattr(words, "_ROWS", cold_table())
+        monkeypatch.setattr(words, "_COLUMNS", cold_table())
         if first:
             words.rank(first)
+        else:
+            words._grow(len(word))
+        before = words._COLUMNS
+        contents = [list(column) for column in before]
         with pytest.raises(InternalError) as caught:
             words.rank(word)
         assert str(caught.value) == "c(5, 4) = 1, not 0"
-        words._ROWS = cold_table()
+        assert words._COLUMNS is before
+        assert words._COLUMNS == contents
+        words._COLUMNS = cold_table()
         assert cli.main(["rank", "--word", word]) == 3
         assert capsys.readouterr().err.startswith("error: INTERNAL: ")
 
