@@ -47,8 +47,8 @@ stored as the 0 it must be. A walk of length n stands at depth
 h <= n - 1 - r when r symbols follow and reads depths h and h + 1, so
 the table keeps only the region r + h <= N, and only the depths up to
 its depth bound D = len(columns) - 1, the deepest h + 1 that any walk
-has read so far. D is not an option: ``rank`` deepens the table after
-the word is checked, to the word's deepest depth plus one, and
+has read so far. D is not an option: ``rank`` deepens the table once
+for a word it has checked, to the word's deepest depth plus one, and
 ``unrank`` one column at a time as its walk reaches it. Random words of
 length n reach depths of order sqrt(n), so a table of length N holds
 about N * D counts: 24 random words of length 400 left 17411 counts in
@@ -57,20 +57,29 @@ about N * D counts: 24 random words of length 400 left 17411 counts in
 One routine grows the table, down from the Motzkin numbers: column 0 is
 read from ``sequences.motzkin_numbers``, and column h follows from
 columns h - 1 and h - 2 by
-c(h, r) = c(h - 1, r + 1) - c(h - 1, r) - c(h - 2, r). It extends every column to the new length, adds the missing
-depths, checks every pad entry it built and only then publishes the new
-table whole, so a caller holds either the old table or the new one. A
-pad that is not 0 raises InternalError and publishes nothing. So each
-growth ties the table to the Motzkin values; every block either walk can
-reach reads as a number and a block no word can take reads 0. ``rank``
-checks the word in the same walk under one rule: '0' and '(' must leave
-no more open than the rest can close, and ')' must close an open '('. A
-symbol outside the alphabet or one that breaks the rule stops it, and
-``validate`` then names the fault; a walk that reaches the end is at
-depth 0. The table is built once per process and only grows, and only
-for a word already checked, so a malformed word builds no length or
-depth; lengths above RANK_LIMIT raise LimitExceededError, and ``unrank``
-refuses an index of M_RANK_LIMIT or more without building the table.
+c(h, r) = c(h - 1, r + 1) - c(h - 1, r) - c(h - 2, r). It extends every
+column to the new length, adds the missing depths, checks every pad
+entry it built and only then publishes the new table whole, so a caller
+holds either the old table or the new one. A pad that is not 0 raises
+InternalError and publishes nothing. So each growth ties the table to
+the Motzkin values; every block either walk can reach reads as a number
+and a block no word can take reads 0. It is also the one place that
+enforces RANK_LIMIT: a length above it raises LimitExceededError before
+anything is built.
+
+``rank`` has one path: walk, and on a refusal check, grow and walk
+again. The walk checks the word as it ranks it, under one rule: '0' and
+'(' must leave no more open than the rest can close, and ')' must close
+an open '('. So a walk that reaches the end is at depth 0. It refuses a
+symbol outside the alphabet or one that breaks the rule, a word longer
+than the table, and a read past the depth bound. Only then is the word
+classified, once, and ``validate`` names any fault; a unique word grows
+the table once, to its length and its deepest depth plus one, and is
+walked again. The table is built once per process and only grows, and
+only for a word already checked, so a malformed word builds no length
+or depth. ``unrank`` finds the length of an index among the Motzkin
+numbers up to M_RANK_LIMIT, so an index of M_RANK_LIMIT or more asks
+for length RANK_LIMIT + 1 and is refused before anything is built.
 """
 
 import operator
@@ -95,7 +104,7 @@ OPEN = "("
 CLOSE = ")"
 SYMBOLS = (ZERO, OPEN, CLOSE)  # ascending alphabet order
 _DELTA = {ZERO: 0, OPEN: 1, CLOSE: -1}
-_SYMBOL_RANK = {symbol: rank for rank, symbol in enumerate(SYMBOLS)}
+_SORTABLE = str.maketrans("".join(SYMBOLS), "012")  # series order as string order
 
 EMPTY = "empty"
 UNIQUE = "unique"
@@ -162,11 +171,7 @@ def compare(first: str, second: str) -> int:
 def sort_key(word: str):
     """Sorting key realizing the same order as ``compare``; raises what
     ``validate`` raises for a string that is not a Motzkin word."""
-    validate(word)
-    # From a list, not a generator: tuple() guesses a generator's length,
-    # and each resized tuple is parked in the interpreter's tuple free
-    # lists, so repeated calls grow the process by hundreds of KB.
-    return len(word), tuple([_SYMBOL_RANK[symbol] for symbol in word])
+    return len(validate(word)), word.translate(_SORTABLE)
 
 
 # The completion table up to length N = len(_COLUMNS[0]) - 1 and depth
@@ -192,8 +197,10 @@ def _grow(length: int, depth: int = 0) -> list[list[int]]:
     c(h - 1, r + 1) - c(h - 1, r) - c(h - 2, r). Each pad entry built,
     c(h, r) with h > r, counts the ways to close more parentheses than
     symbols are left, so it must be 0; otherwise InternalError is raised
-    and nothing is published. Raises LimitExceededError for a length
-    above RANK_LIMIT.
+    and nothing is published. A growth in length copies every column it
+    extends, so growing a deep table one length at a time costs the whole
+    table per step. Raises LimitExceededError for a length above
+    RANK_LIMIT, before anything is built.
     """
     global _COLUMNS
     if length > RANK_LIMIT:
@@ -299,41 +306,36 @@ def enumerate_words(n: int, kind: str = "all") -> list[str]:
     return [word for block in word_blocks(n, kind) for word in block]
 
 
-def _unique(word: str) -> None:
-    """Raise NotUniqueError unless ``word`` is a unique Motzkin word,
-    reporting the first fault from the left."""
-    try:
-        kind = classify(word)
-    except MotzkinWordError as exc:
-        raise NotUniqueError(f"not a Motzkin word: {exc}") from exc
-    if kind != UNIQUE:
-        raise NotUniqueError(f"{word!r} has no position in the series")
-
-
 def _position(word: str, columns: list[list[int]]) -> int | None:
     """The lexicographic index of a word that starts with '0' or '(' among
-    all words of its length, or None when the walk refuses the word.
+    all words of its length, or None when the walk cannot finish.
 
     At each step, skip the blocks of the smaller symbols. The same walk
     checks the word: '0' and '(' must leave no more open than the rest can
     close, and ')' must close an open '('. So a walk that reaches the end
     is at depth 0, and every block read lies in its column, pad zeros
-    included, when the column is there. A read past the depth bound
-    raises IndexError."""
+    included, when the column is there. The walk refuses a symbol outside
+    the alphabet or one that breaks the rule, a word longer than the table
+    and a read past the depth bound."""
+    if len(word) >= len(columns[0]):
+        return None
     position = depth = 0
-    for remaining, symbol in zip(range(len(word) - 1, -1, -1), word):
-        if symbol == OPEN:
-            if depth >= remaining:
+    try:
+        for remaining, symbol in zip(range(len(word) - 1, -1, -1), word):
+            if symbol == OPEN:
+                if depth >= remaining:
+                    return None
+                position += columns[depth][remaining]
+                depth += 1
+            elif symbol == CLOSE:
+                if not depth:
+                    return None
+                position += columns[depth][remaining] + columns[depth + 1][remaining]
+                depth -= 1
+            elif symbol != ZERO or depth > remaining:
                 return None
-            position += columns[depth][remaining]
-            depth += 1
-        elif symbol == CLOSE:
-            if not depth:
-                return None
-            position += columns[depth][remaining] + columns[depth + 1][remaining]
-            depth -= 1
-        elif symbol != ZERO or depth > remaining:
-            return None
+    except IndexError:
+        return None
     return position
 
 
@@ -344,27 +346,21 @@ def rank(word: str) -> int:
     anything that is not a Motzkin word, then LimitExceededError for a
     word longer than RANK_LIMIT.
     """
-    # Only a checked word may grow the table: a malformed word builds no
-    # length or depth, and its fault is reported before a length above
-    # RANK_LIMIT.
-    n = len(word)
-    columns = _COLUMNS
-    if n >= len(columns[0]):
-        _unique(word)
-        columns = _grow(n)
-    if word == ZERO or word[:1] == OPEN:
+    position = _position(word, _COLUMNS) if word == ZERO or word[:1] == OPEN else None
+    if position is None:
+        # Only a checked word may grow the table: a malformed word builds
+        # no length or depth, and its fault is reported before a length
+        # above RANK_LIMIT.
         try:
-            position = _position(word, columns)
-        except IndexError:
-            # The word reads past the depth bound: deepen the table to one
-            # past the word's deepest depth and walk again.
-            _unique(word)
-            position = _position(word, _grow(n, max(accumulate(map(_DELTA.get, word))) + 1))
-        if position is not None:
-            return position
-    # On any fault, _unique names it.
-    _unique(word)
-    raise InternalError(f"rank refused the unique word {word!r}")
+            kind = classify(word)
+        except MotzkinWordError as exc:
+            raise NotUniqueError(f"not a Motzkin word: {exc}") from exc
+        if kind != UNIQUE:
+            raise NotUniqueError(f"{word!r} has no position in the series")
+        position = _position(word, _grow(len(word), max(accumulate(map(_DELTA.get, word))) + 1))
+        if position is None:
+            raise InternalError(f"rank refused the unique word {word!r}")
+    return position
 
 
 def unrank(index: int) -> str:
@@ -381,13 +377,12 @@ def unrank(index: int) -> str:
     # Indexes below completion_count(0, n) = M_n have length <= n. The
     # table grows to the length of an index it does not cover, found among
     # M_0..M_(b+1) for an index of b bits, since M_n >= 2^(n-1), and to
-    # depth 1, which the walk holds from its first step; an index of
-    # M_RANK_LIMIT or more is refused before the table grows.
+    # depth 1, which the walk holds from its first step. Among
+    # M_0..M_RANK_LIMIT, an index of M_RANK_LIMIT or more finds length
+    # RANK_LIMIT + 1, which _grow refuses before it builds anything.
     columns = _COLUMNS
     if columns[0][-1] <= index or len(columns) < 2:
         motzkin = sequences.motzkin_numbers(min(index.bit_length() + 1, RANK_LIMIT))
-        if index >= motzkin[-1]:
-            raise LimitExceededError(f"length {RANK_LIMIT + 1} exceeds the rank bound {RANK_LIMIT}")
         columns = _grow(bisect_right(motzkin, index), 1)
     n = bisect_right(columns[0], index, lo=1)
 

@@ -12,11 +12,14 @@ import hashlib
 
 import pytest
 
-from motzkin import cli
+from motzkin import cli, sequences
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 LONG_WORD = "(" + "(0)" * 130 + "0()" * 3 + ")"
 NESTED_WORD = "(" * 500 + ")" * 500
+# The first index and the shortest word past the rank bound.
+FIRST_REFUSED_INDEX = sequences.motzkin_numbers(1000)[-1]
+REFUSED_WORD = "(" + "0" * 999 + ")"
 
 # (command line, exit code, stdout digest, stderr digest)
 CASES = [
@@ -81,6 +84,12 @@ CASES = [
         EMPTY, "ed7d8fb1837724285b34c1345c0000dcea76ee5dc177df6c04c87c630e1358d7"),
     # error: LIMIT_EXCEEDED: length 1001 exceeds the rank bound 1000
     (f"unrank --index {3**1000}", 1,
+        EMPTY, "aa1f4e0c5e5e518c784032afa1c9a145cacd00c5f92168623be5f90050051fb5"),
+    # error: LIMIT_EXCEEDED: length 1001 exceeds the rank bound 1000
+    (f"unrank --index {FIRST_REFUSED_INDEX}", 1,
+        EMPTY, "aa1f4e0c5e5e518c784032afa1c9a145cacd00c5f92168623be5f90050051fb5"),
+    # error: LIMIT_EXCEEDED: length 1001 exceeds the rank bound 1000
+    (f"rank --word {REFUSED_WORD}", 1,
         EMPTY, "aa1f4e0c5e5e518c784032afa1c9a145cacd00c5f92168623be5f90050051fb5"),
     # error: USAGE: method 'closed' does not apply to target 'nat'
     ("series --target nat --order 5 --method closed", 1,

@@ -482,6 +482,21 @@ class TestRank:
                     if table == "cold":
                         assert words._COLUMNS == cold_table()
 
+    @pytest.mark.parametrize("word, calls", [("((()))", [(6, 4)]), ("(0)", [(3, 2)])])
+    def test_cold_rank_grows_the_table_once(self, word, calls, monkeypatch):
+        # One growth, to the word's length and one past its deepest depth.
+        monkeypatch.setattr(words, "_COLUMNS", cold_table())
+        original = words._grow
+        seen = []
+
+        def grow(length, depth=0):
+            seen.append((length, depth))
+            return original(length, depth)
+
+        monkeypatch.setattr(words, "_grow", grow)
+        assert words.rank(word) == reference_rank(word, reference_rows(len(word)))
+        assert seen == calls
+
     def test_malformed_words_grow_no_table(self):
         report = run_fresh(GROWTH_PROBE, "", [")(" * 500, "(" * 999 + "0"])
         assert report == {"errors": ["NotUniqueError"] * 2, "columns": cold_table()}
