@@ -177,15 +177,15 @@ def motzkin_series(order: int, method: str = "functional") -> TruncatedSeries:
 def nat_series(order: int, form: str = "product") -> TruncatedSeries:
     """Generating function of the difference numbers through ``order``.
 
-    ``product`` evaluates ``x + x^2*M^2``; ``linear`` evaluates
-    ``x - 1 + (1-x)*M``. The two agree coefficient by coefficient.
+    ``product`` evaluates ``x + x^2*M^2`` with one product, ``M*M``,
+    shifted two places; ``linear`` evaluates ``x - 1 + (1-x)*M``. The
+    two agree coefficient by coefficient.
     """
     if form not in NAT_FORMS:
         raise ValueError(f"unknown form {form!r}")
     m = motzkin_series(order, "functional")
-    x = TruncatedSeries.from_coefficients([0, 1], order)
     if form == "product":
-        result = x + x * x * m * m
+        result = TruncatedSeries([0, 1, *(m * m).coefficients][: order + 1])
     else:
         one_minus_x = TruncatedSeries.from_coefficients([1, -1], order)
         result = TruncatedSeries.from_coefficients([-1, 1], order) + one_minus_x * m

@@ -54,9 +54,11 @@ length n reach depths of order sqrt(n), so a table of length N holds
 about N * D counts: 24 random words of length 400 left 17411 counts in
 1.2 MB (tracemalloc), where every depth takes 60701 counts in 3.0 MB.
 
-One routine grows the table, down from the Motzkin numbers: column 0 is
-read from ``sequences.motzkin_numbers``, and column h follows from
-columns h - 1 and h - 2 by
+One routine grows the table, down from the Motzkin numbers. It checks
+once, under its lock, whether the published table covers the request,
+and if so returns it unchanged. A growth in length takes column 0 whole
+as ``sequences.motzkin_numbers`` returns it; every deeper column h
+follows from columns h - 1 and h - 2 by the one rule
 c(h, r) = c(h - 1, r + 1) - c(h - 1, r) - c(h - 2, r). It extends every
 column to the new length, adds the missing depths, checks every pad
 entry it built and only then publishes the new table whole, so a caller
@@ -180,9 +182,9 @@ def sort_key(word: str):
 # c(h, r) with h > r hold the zeros they must. A walk of length n <= N
 # stands at depth h <= n - 1 - r when r symbols follow and reads c(h, r)
 # and c(h + 1, r), both held once D >= h + 1; D is the deepest h + 1 that
-# any walk has read. A published table never changes: growth builds the next
-# one whole, under _GROWING, and then rebinds _COLUMNS, so a reader's
-# snapshot is always a whole table and readers need no lock.
+# any walk has read. A published table never changes: _grow checks it and
+# builds the next one whole, both under _GROWING, and then rebinds _COLUMNS,
+# so a reader's snapshot is always a whole table and readers need no lock.
 _COLUMNS: list[list[int]] = [[1]]
 _GROWING = threading.Lock()
 
@@ -192,8 +194,10 @@ def _grow(length: int, depth: int = 0) -> list[list[int]]:
     least: columns h = 0..D, where column h counts the ways to finish from
     h open parentheses in exactly r = 0..N - h symbols.
 
-    Column 0 is read from ``motzkin_numbers``, and column h follows from
-    columns h - 1 and h - 2 by c(h, r) =
+    One check, under _GROWING, returns the published table unchanged when
+    it already covers the request. A growth in length takes column 0 whole
+    from ``motzkin_numbers``; every column h >= 1 follows from columns
+    h - 1 and h - 2 by c(h, r) =
     c(h - 1, r + 1) - c(h - 1, r) - c(h - 2, r). Each pad entry built,
     c(h, r) with h > r, counts the ways to close more parentheses than
     symbols are left, so it must be 0; otherwise InternalError is raised
@@ -205,23 +209,19 @@ def _grow(length: int, depth: int = 0) -> list[list[int]]:
     global _COLUMNS
     if length > RANK_LIMIT:
         raise LimitExceededError(f"length {length} exceeds the rank bound {RANK_LIMIT}")
-    columns = _COLUMNS
-    if length < len(columns[0]) and depth < len(columns):
-        return columns
     with _GROWING:
         columns = _COLUMNS
-        n = max(length, len(columns[0]) - 1)
-        grown = []
-        for h in range(max(depth, len(columns) - 1) + 1):
+        if length < len(columns[0]) and depth < len(columns):
+            return columns
+        grown = [columns[0] if length < len(columns[0]) else sequences.motzkin_numbers(length)]
+        n = len(grown[0]) - 1
+        for h in range(1, max(depth, len(columns) - 1) + 1):
             column = columns[h] if h < len(columns) else []
             start = len(column)
             if start <= n - h:
-                if h:
-                    above = grown[h - 1][start:]
-                    below = grown[h - 2][start:] if h > 1 else repeat(0)
-                    column = column + [b - a - c for a, b, c in zip(above, above[1:], below)]
-                else:
-                    column = column + sequences.motzkin_numbers(n)[start:]
+                above = grown[h - 1][start:]
+                below = grown[h - 2][start:] if h > 1 else repeat(0)
+                column = column + [b - a - c for a, b, c in zip(above, above[1:], below)]
                 for r in range(start, min(h, len(column))):
                     if column[r]:
                         raise InternalError(f"c({h}, {r}) = {column[r]}, not 0")
@@ -256,6 +256,7 @@ def word_blocks(n: int, kind: str = "all") -> Iterator[list[str]]:
     The arguments are checked at call time, with the same errors as
     ``enumerate_words``.
     """
+    n = operator.index(n)
     if n < 0:
         raise ValueError("length must be nonnegative")
     if kind not in FILTERS:

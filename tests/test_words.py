@@ -412,6 +412,8 @@ class TestEnumerate:
             words.word_blocks(3, "palindromic")
         with pytest.raises(ValueError):
             words.word_blocks(-1)
+        with pytest.raises(TypeError):
+            words.word_blocks(3.0)
 
     def test_rejects_bad_filter(self):
         with pytest.raises(ValueError):
@@ -766,6 +768,17 @@ class TestSharedTable:
         for length, deepest_read in steps:
             words._grow(length, deepest_read)
             assert words._COLUMNS == table_layout(length, deepest_read)
+
+    def test_deepening_keeps_the_columns_it_holds(self, monkeypatch):
+        # unrank deepens the table one column at a time inside its walk, so
+        # a growth in depth alone must reuse every column it holds, not copy
+        # it, and a request the table covers must return it unchanged.
+        monkeypatch.setattr(words, "_COLUMNS", cold_table())
+        shallow = words._grow(60, 3)
+        deep = words._grow(60, 8)
+        assert all(deep[h] is shallow[h] for h in range(4))
+        assert deep == table_layout(60, 8)
+        assert words._grow(40, 2) is deep
 
     @pytest.mark.parametrize("first", ["", "(((())))"], ids=["by-column", "by-diagonal"])
     def test_wrong_motzkin_number_fails_a_pad(self, first, monkeypatch, capsys):
