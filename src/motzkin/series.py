@@ -19,15 +19,22 @@ or a square root halves an odd value; either gives a ``Fraction``. Sums
 and products keep whichever they are given. So the functional solver,
 both ``nat_series`` forms and the closed form, whose every halving is
 exact, stay in the ints, and integrality of the final tables is asserted
-rather than assumed.
+rather than assumed. ``fractions`` (which loads ``decimal``) is imported
+only where a ``Fraction`` is formed or a non-int coefficient is checked,
+so a process that stays in the ints never loads either module.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from fractions import Fraction
 
 from .errors import BadConstantTermError, InternalError, ZeroConstantTermError
+
+# Type checkers read this block as true; at run time the annotations
+# that name ``Fraction`` are never evaluated, so nothing loads here.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class TruncatedSeries:
@@ -55,8 +62,11 @@ class TruncatedSeries:
         """
         coeffs = list(values)
         for position, value in enumerate(coeffs):
-            if not isinstance(value, (int, Fraction)):
-                raise TypeError(f"coefficient {position} is {value!r}, not an int or Fraction")
+            if not isinstance(value, int):
+                from fractions import Fraction
+
+                if not isinstance(value, Fraction):
+                    raise TypeError(f"coefficient {position} is {value!r}, not an int or Fraction")
         if order is not None:
             if order < 0:
                 raise ValueError("order must be nonnegative")
@@ -91,6 +101,8 @@ class TruncatedSeries:
         return TruncatedSeries(sum((a[k] * b[n - k] for k in range(n + 1)), 0) for n in range(order + 1))
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        from fractions import Fraction
+
         num, den = self.coefficients, other.coefficients
         order = min(self.order, other.order)
         if not den or den[0] == 0:
@@ -138,6 +150,8 @@ def _half(value: int | Fraction) -> int | Fraction:
         quotient, remainder = divmod(value, 2)
         if not remainder:
             return quotient
+    from fractions import Fraction
+
     return Fraction(value, 2)
 
 

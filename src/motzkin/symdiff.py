@@ -45,6 +45,12 @@ gives the next numerator over ``r^(k+1) * D^(k+2)``. Writing
 
 Every product is by s, r, t or an integer, degrees grow linearly in k
 and no step divides.
+
+``nat_coefficients`` stays in the ints: it divides the value at zero by
+``k!`` with ``divmod`` and checks the remainder. ``fractions`` is imported
+only where a ``Fraction`` is formed (``evaluate_at_zero`` and the error
+message of a pass that is not a natural number), and ``series`` only
+inside ``fraction_series``, so ``nat_coefficients`` loads neither.
 """
 
 from __future__ import annotations
@@ -52,10 +58,16 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterable
-from fractions import Fraction
 
 from .errors import DegenerateFractionError, InternalError, ZeroDenominatorError
-from .series import TruncatedSeries
+
+# Type checkers read this block as true; at run time the annotations
+# that name ``Fraction`` and ``TruncatedSeries`` are never evaluated, so nothing loads here.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .series import TruncatedSeries
 
 
 class IntPoly:
@@ -193,12 +205,20 @@ def content_reduce(fraction: SqrtFraction) -> SqrtFraction:
     return SqrtFraction(*(IntPoly(k // g for k in poly.coefficients) for poly in fraction))
 
 
-def evaluate_at_zero(fraction: SqrtFraction) -> Fraction:
-    """Value at x = 0, where W evaluates to 1."""
+def _value_at_zero(fraction: SqrtFraction) -> tuple[int, int]:
+    """Numerator and nonzero denominator of the value at x = 0, where W
+    evaluates to 1."""
     denominator = fraction.c.at_zero() + fraction.d.at_zero()
     if denominator == 0:
         raise ZeroDenominatorError("denominator vanishes at zero")
-    return Fraction(fraction.a.at_zero() + fraction.b.at_zero(), denominator)
+    return fraction.a.at_zero() + fraction.b.at_zero(), denominator
+
+
+def evaluate_at_zero(fraction: SqrtFraction) -> Fraction:
+    """Value at x = 0, where W evaluates to 1."""
+    from fractions import Fraction
+
+    return Fraction(*_value_at_zero(fraction))
 
 
 class DerivativeCursor:
@@ -246,20 +266,26 @@ def nat_coefficients(k_max: int) -> list[int]:
         if k:
             cursor.advance()
             factorial *= k
-        value = evaluate_at_zero(cursor.current) / factorial
+        numerator, denominator = _value_at_zero(cursor.current)
+        denominator *= factorial
         if k == 0:
-            value -= 1
+            numerator -= denominator
         elif k == 1:
-            value += 1
-        if value.denominator != 1 or value < 0:
-            raise InternalError(f"pass {k} produced {value}, not a natural number")
-        out.append(int(value))
+            numerator += denominator
+        value, remainder = divmod(numerator, denominator)
+        if remainder or value < 0:
+            from fractions import Fraction
+
+            raise InternalError(f"pass {k} produced {Fraction(numerator, denominator)}, not a natural number")
+        out.append(value)
     return out
 
 
 def fraction_series(fraction: SqrtFraction, order: int) -> TruncatedSeries:
     """Expand a fraction as a truncated power series by substituting the
     series square root for W; independent check on the symbolic cycle."""
+    from .series import TruncatedSeries
+
     root = TruncatedSeries.from_coefficients(RADICAND.coefficients, order).sqrt()
 
     def lift(poly: IntPoly) -> TruncatedSeries:

@@ -323,6 +323,43 @@ class TestStartup:
     def test_no_command_loads_typing(self, argv):
         assert "typing" not in loaded_after(f"from motzkin import cli\ncli.main({argv!r})")
 
+    # No CLI route forms a Fraction, so none loads fractions, nor the
+    # decimal module that fractions imports.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series", "--target", "motzkin", "--method", "functional", "--order", "3"],
+            ["series", "--target", "motzkin", "--method", "closed", "--order", "3"],
+            ["series", "--target", "nat", "--method", "product", "--order", "3"],
+            ["series", "--target", "nat", "--method", "linear", "--order", "3"],
+            ["symdiff", "--max", "3"],
+            ["verify", "--max", "3"],
+        ],
+    )
+    def test_exact_routes_load_no_fractions(self, argv):
+        assert not {"fractions", "decimal"} & loaded_after(f"from motzkin import cli\ncli.main({argv!r})")
+
+    def test_symdiff_loads_no_series(self):
+        assert "motzkin.series" not in loaded_after("from motzkin import cli\ncli.main(['symdiff', '--max', '3'])")
+
+    def test_coefficient_check_loads_fractions_itself(self):
+        # A fresh process has not imported fractions before the check runs;
+        # a failed assert in the probe fails the subprocess.
+        probe = "\n".join(
+            [
+                "from motzkin.series import TruncatedSeries",
+                "try:",
+                "    TruncatedSeries.from_coefficients([1.5])",
+                "except TypeError as error:",
+                "    assert str(error) == 'coefficient 0 is 1.5, not an int or Fraction', error",
+                "else:",
+                "    raise AssertionError('a float was accepted')",
+                "from fractions import Fraction",
+                "assert TruncatedSeries.from_coefficients([Fraction(1, 2)]).coefficients == (Fraction(1, 2),)",
+            ]
+        )
+        loaded_after(probe)
+
     @pytest.mark.parametrize("name", motzkin.__all__)
     def test_public_name_is_the_defining_module_object(self, name):
         # The defining module is the one named by the object itself, or

@@ -237,6 +237,11 @@ class TestMultiplicationRoutes:
     def test_coefficients_are_ints(self, build, method):
         assert all(type(c) is int for c in build(64, method).coefficients)
 
+    def test_closed_form_root_at_order_402_is_ints(self):
+        root = TruncatedSeries.from_coefficients([1, -2, -3], 402).sqrt()
+        assert all(type(c) is int for c in root.coefficients)
+        assert all(type(c) is int for c in motzkin_series(400, "closed_form").coefficients)
+
     @pytest.mark.parametrize("build, method", MULTIPLICATION_ROUTES)
     def test_order_400_is_fast(self, build, method):
         start = time.perf_counter()

@@ -204,6 +204,9 @@ class TestEvaluateAtZero:
         with pytest.raises(ZeroDenominatorError):
             evaluate_at_zero(f)
 
+    def test_returns_a_fraction(self):
+        assert type(evaluate_at_zero(initial_fraction())) is Fraction
+
 
 class TestDerivativeCursor:
     def test_passes_counter(self):
@@ -298,6 +301,35 @@ class TestNatCoefficient:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             nat_coefficients(-1)
+
+    @staticmethod
+    def patch_pass(monkeypatch, k, change):
+        original = DerivativeCursor.advance
+
+        def advance(self):
+            fraction = original(self)
+            if self.passes == k:
+                fraction = self.current = change(fraction)
+            return fraction
+
+        monkeypatch.setattr(DerivativeCursor, "advance", advance)
+
+    def test_fractional_pass_is_refused(self, monkeypatch):
+        # a + 1 at pass 3 adds 1 / (2^4 * 3!) to U_3.
+        self.patch_pass(monkeypatch, 3, lambda f: f._replace(a=f.a + IntPoly([1])))
+        with pytest.raises(InternalError, match=r"pass 3 produced .*, not a natural number"):
+            nat_coefficients(5)
+
+    def test_negative_pass_is_refused(self, monkeypatch):
+        # Pass 2 is over 2^3 * 2!, so a - 32 takes U_2 = 1 to -1.
+        self.patch_pass(monkeypatch, 2, lambda f: f._replace(a=f.a - IntPoly([32])))
+        with pytest.raises(InternalError, match="^pass 2 produced -1, not a natural number$"):
+            nat_coefficients(5)
+
+    def test_vanishing_denominator_is_refused(self, monkeypatch):
+        self.patch_pass(monkeypatch, 2, lambda f: f._replace(d=-f.c))
+        with pytest.raises(ZeroDenominatorError):
+            nat_coefficients(5)
 
 
 class TestFractionSeries:
