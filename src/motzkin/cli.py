@@ -8,14 +8,25 @@ success, 1 usage or input error, or a reader that closed the output
 pipe early (silently), 2 when ``verify`` reports any FAIL line, 3 when
 an internal invariant fails (``error: INTERNAL: ...`` or
 ``error: DEGENERATE: ...``).
+
+Every call is a new process, so start and exit are paid per request.
+``_COMMANDS`` declares each subcommand's flags once. ``main`` reads a
+plain command line, a subcommand and then each of its flags spelled in
+full at most once with a valid value, straight from that table, without
+loading argparse. Any other line (help, an abbreviation, ``--flag=value``,
+a repeat, a bad value or a missing flag) goes to ``build_parser``, the
+argparse tree built from the same table, so help and usage errors read
+as they always have. ``main`` returns the exit status; ``run``, the
+entry point of the ``motzkin`` script and of ``python -m motzkin.cli``,
+then runs the ``atexit`` handlers, flushes both streams and ends the
+process with ``os._exit``, skipping the interpreter's teardown.
 """
 
-from __future__ import annotations
-
-import argparse
+import atexit
 import os
 import sys
 from collections.abc import Iterator
+from types import SimpleNamespace
 
 from .errors import InternalError, MotzkinError
 
@@ -32,58 +43,6 @@ _SERIES_METHODS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="motzkin",
-        description="Motzkin words, their counting sequences, and generating functions, all in exact arithmetic.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("numbers", help="print the Motzkin numbers M_0..M_N")
-    p.add_argument("--max", type=int, required=True, metavar="N")
-    p.add_argument("--bfile", action="store_true", help="print 'n value' pairs (b-file format)")
-    p.set_defaults(handler=_cmd_numbers)
-
-    p = sub.add_parser("diff", help="print the difference numbers U_0..U_N")
-    p.add_argument("--max", type=int, required=True, metavar="N")
-    p.add_argument("--method", choices=("subtraction", "convolution"), default="subtraction")
-    p.add_argument("--bfile", action="store_true", help="print 'n value' pairs (b-file format)")
-    p.set_defaults(handler=_cmd_diff)
-
-    p = sub.add_parser("enumerate", help="list all Motzkin words of one length in series order")
-    p.add_argument("--length", type=int, required=True, metavar="N")
-    p.add_argument("--filter", choices=("all", "unique", "inherited"), default="all")
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("rank", help="position of a unique word in the series")
-    p.add_argument("--word", required=True, metavar="W")
-    p.set_defaults(handler=_cmd_rank)
-
-    p = sub.add_parser("unrank", help="series element at an index")
-    p.add_argument("--index", type=int, required=True, metavar="I")
-    p.set_defaults(handler=_cmd_unrank)
-
-    p = sub.add_parser("series", help="generating function coefficients 0..N")
-    p.add_argument("--target", choices=("motzkin", "nat"), required=True)
-    p.add_argument("--order", type=int, required=True, metavar="N")
-    p.add_argument("--method", choices=[flag for methods in _SERIES_METHODS.values() for flag in methods])
-    p.set_defaults(handler=_cmd_series)
-
-    p = sub.add_parser("symdiff", help="difference numbers via the symbolic derivative cycle")
-    p.add_argument("--max", type=int, required=True, metavar="K")
-    p.set_defaults(handler=_cmd_symdiff)
-
-    p = sub.add_parser(
-        "verify",
-        help="cross-check all computation routes; census and round-trip "
-        f"checks are capped at lengths {CENSUS_LIMIT} and {ROUNDTRIP_LIMIT}",
-    )
-    p.add_argument("--max", type=int, default=12, metavar="N")
-    p.set_defaults(handler=_cmd_verify)
-
-    return parser
-
-
 def _print_table(values: list[int], bfile: bool) -> None:
     for n, value in enumerate(values):
         print(f"{n} {value}" if bfile else value)
@@ -91,21 +50,21 @@ def _print_table(values: list[int], bfile: bool) -> None:
 
 # Each handler imports only the module it runs, so a process loads no
 # more of the package than its subcommand needs.
-def _cmd_numbers(args: argparse.Namespace) -> int:
+def _cmd_numbers(args: SimpleNamespace) -> int:
     from . import sequences
 
     _print_table(sequences.motzkin_numbers(args.max), args.bfile)
     return 0
 
 
-def _cmd_diff(args: argparse.Namespace) -> int:
+def _cmd_diff(args: SimpleNamespace) -> int:
     from . import sequences
 
     _print_table(sequences.difference_numbers(args.max, args.method), args.bfile)
     return 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: SimpleNamespace) -> int:
     # One write per block, to the stdout of the moment (it may be
     # redirected after import); the listing is never held whole.
     from . import words
@@ -118,21 +77,21 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_rank(args: argparse.Namespace) -> int:
+def _cmd_rank(args: SimpleNamespace) -> int:
     from . import words
 
     print(words.rank(args.word))
     return 0
 
 
-def _cmd_unrank(args: argparse.Namespace) -> int:
+def _cmd_unrank(args: SimpleNamespace) -> int:
     from . import words
 
     print(words.unrank(args.index))
     return 0
 
 
-def _cmd_series(args: argparse.Namespace) -> int:
+def _cmd_series(args: SimpleNamespace) -> int:
     from . import series
 
     methods = _SERIES_METHODS[args.target]
@@ -145,7 +104,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_symdiff(args: argparse.Namespace) -> int:
+def _cmd_symdiff(args: SimpleNamespace) -> int:
     from . import symdiff
 
     _print_table(symdiff.nat_coefficients(args.max), False)
@@ -202,7 +161,7 @@ def verification_checks(max_n: int) -> Iterator[tuple[str, bool, str]]:
     yield "unrank-order-coherence", order_ok, roundtrip_span
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     failed = False
     for name, ok, detail in verification_checks(args.max):
         print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")
@@ -210,12 +169,130 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 2 if failed else 0
 
 
+_BFILE = {"action": "store_true", "help": "print 'n value' pairs (b-file format)"}
+
+# Subcommand -> (handler, help, flags), in the order --help lists them.
+# Each flag maps to the keyword arguments of ``add_argument``; the plain
+# parser reads the same table, so the two cannot disagree on a flag.
+_COMMANDS = {
+    "numbers": (
+        _cmd_numbers,
+        "print the Motzkin numbers M_0..M_N",
+        {"--max": {"type": int, "required": True, "metavar": "N"}, "--bfile": _BFILE},
+    ),
+    "diff": (
+        _cmd_diff,
+        "print the difference numbers U_0..U_N",
+        {
+            "--max": {"type": int, "required": True, "metavar": "N"},
+            "--method": {"choices": ("subtraction", "convolution"), "default": "subtraction"},
+            "--bfile": _BFILE,
+        },
+    ),
+    "enumerate": (
+        _cmd_enumerate,
+        "list all Motzkin words of one length in series order",
+        {
+            "--length": {"type": int, "required": True, "metavar": "N"},
+            "--filter": {"choices": ("all", "unique", "inherited"), "default": "all"},
+        },
+    ),
+    "rank": (_cmd_rank, "position of a unique word in the series", {"--word": {"required": True, "metavar": "W"}}),
+    "unrank": (_cmd_unrank, "series element at an index", {"--index": {"type": int, "required": True, "metavar": "I"}}),
+    "series": (
+        _cmd_series,
+        "generating function coefficients 0..N",
+        {
+            "--target": {"choices": ("motzkin", "nat"), "required": True},
+            "--order": {"type": int, "required": True, "metavar": "N"},
+            "--method": {"choices": [flag for methods in _SERIES_METHODS.values() for flag in methods]},
+        },
+    ),
+    "symdiff": (
+        _cmd_symdiff,
+        "difference numbers via the symbolic derivative cycle",
+        {"--max": {"type": int, "required": True, "metavar": "K"}},
+    ),
+    "verify": (
+        _cmd_verify,
+        "cross-check all computation routes; census and round-trip "
+        f"checks are capped at lengths {CENSUS_LIMIT} and {ROUNDTRIP_LIMIT}",
+        {"--max": {"type": int, "default": 12, "metavar": "N"}},
+    ),
+}
+
+
+def build_parser():
+    """The argparse tree of every subcommand, built from ``_COMMANDS``."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="motzkin",
+        description="Motzkin words, their counting sequences, and generating functions, all in exact arithmetic.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, spec in flags.items():
+            command.add_argument(flag, **spec)
+    return parser
+
+
+def _plain_fields(argv: list[str]) -> dict | None:
+    """The parsed fields of a plain command line, as argparse would give
+    them, or None to leave the line to argparse.
+
+    A plain line is a subcommand, then each of its flags spelled in full
+    at most once, each flag that takes a value followed by one that does
+    not start with '-' unless it is a negative integer, and every value
+    of the right type and among the choices, with no required flag
+    missing. Anything else, such as help, an abbreviation, a
+    ``--flag=value`` or a repeated flag, is declined, so that argparse
+    handles and reports it as before.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = _COMMANDS[argv[0]][2]
+    fields = {"command": argv[0]}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        spec = flags.get(flag)
+        dest = flag[2:]
+        if spec is None or dest in fields:
+            return None
+        if spec.get("action") == "store_true":
+            fields[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-") and not (value[1:].isascii() and value[1:].isdigit()):
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        fields[dest] = value
+    for flag, spec in flags.items():
+        dest = flag[2:]
+        if dest not in fields:
+            if spec.get("required"):
+                return None
+            fields[dest] = spec.get("default", False if spec.get("action") == "store_true" else None)
+    return fields
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
+    """Run one command line (default ``sys.argv[1:]``); return its exit status."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    fields = _plain_fields(argv)
+    if fields is None:
+        try:
+            fields = vars(build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 1
+    handler = _COMMANDS[fields["command"]][0]
     # M_9025 is the first Motzkin number with more than 4300 digits, the
     # interpreter's default int-to-str limit. Lift it for the handler
     # only: --index above was parsed under it, and in-process callers
@@ -225,12 +302,12 @@ def main(argv: list[str] | None = None) -> int:
         digit_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        status = args.handler(args)
+        status = handler(SimpleNamespace(**fields))
         sys.stdout.flush()
         return status
     except BrokenPipeError:
         # The reader is gone (``| head``). Point stdout at devnull so the
-        # interpreter's flush at exit has nowhere to fail.
+        # flush at exit has nowhere to fail.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
@@ -247,5 +324,26 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(digit_limit)
 
 
+def run() -> None:
+    """Entry point of the ``motzkin`` script and of ``python -m motzkin.cli``.
+
+    Runs ``main()``, then the ``atexit`` handlers, flushes stdout and
+    stderr and ends the process with ``os._exit``, skipping the
+    interpreter's teardown of every module, which a short-lived process
+    does not need. If a flush fails, the process exits through
+    ``sys.exit`` instead, as it did before, so the interpreter reports it.
+    """
+    status = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError, AttributeError):
+        # A reader that is gone, a closed stream, or none at all (None
+        # when the process started without that descriptor).
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -57,7 +57,9 @@ about N * D counts: 24 random words of length 400 left 17411 counts in
 One routine grows the table, down from the Motzkin numbers. It checks
 once, under its lock, whether the published table covers the request,
 and if so returns it unchanged. A growth in length takes column 0 whole
-as ``sequences.motzkin_numbers`` returns it; every deeper column h
+as ``sequences.motzkin_numbers`` returns it, or, from ``unrank``, as a
+slice of the Motzkin numbers it searched for the length, so a cold
+``unrank`` computes them once; every deeper column h
 follows from columns h - 1 and h - 2 by the one rule
 c(h, r) = c(h - 1, r + 1) - c(h - 1, r) - c(h - 2, r). It extends every
 column to the new length, adds the missing depths, checks every pad
@@ -189,15 +191,16 @@ _COLUMNS: list[list[int]] = [[1]]
 _GROWING = threading.Lock()
 
 
-def _grow(length: int, depth: int = 0) -> list[list[int]]:
+def _grow(length: int, depth: int = 0, motzkin: list[int] | None = None) -> list[list[int]]:
     """The completion table up to length ``length`` and depth ``depth`` at
     least: columns h = 0..D, where column h counts the ways to finish from
     h open parentheses in exactly r = 0..N - h symbols.
 
     One check, under _GROWING, returns the published table unchanged when
     it already covers the request. A growth in length takes column 0 whole
-    from ``motzkin_numbers``; every column h >= 1 follows from columns
-    h - 1 and h - 2 by c(h, r) =
+    from ``motzkin_numbers``, or as a slice of ``motzkin``, a caller's
+    list M_0, M_1, ... when it reaches ``length``; every column h >= 1
+    follows from columns h - 1 and h - 2 by c(h, r) =
     c(h - 1, r + 1) - c(h - 1, r) - c(h - 2, r). Each pad entry built,
     c(h, r) with h > r, counts the ways to close more parentheses than
     symbols are left, so it must be 0; otherwise InternalError is raised
@@ -213,7 +216,12 @@ def _grow(length: int, depth: int = 0) -> list[list[int]]:
         columns = _COLUMNS
         if length < len(columns[0]) and depth < len(columns):
             return columns
-        grown = [columns[0] if length < len(columns[0]) else sequences.motzkin_numbers(length)]
+        if length < len(columns[0]):
+            grown = [columns[0]]
+        elif motzkin is not None and length < len(motzkin):
+            grown = [motzkin[: length + 1]]
+        else:
+            grown = [sequences.motzkin_numbers(length)]
         n = len(grown[0]) - 1
         for h in range(1, max(depth, len(columns) - 1) + 1):
             column = columns[h] if h < len(columns) else []
@@ -380,11 +388,12 @@ def unrank(index: int) -> str:
     # M_0..M_(b+1) for an index of b bits, since M_n >= 2^(n-1), and to
     # depth 1, which the walk holds from its first step. Among
     # M_0..M_RANK_LIMIT, an index of M_RANK_LIMIT or more finds length
-    # RANK_LIMIT + 1, which _grow refuses before it builds anything.
+    # RANK_LIMIT + 1, which _grow refuses before it builds anything. The
+    # numbers searched are handed on, so column 0 is not computed twice.
     columns = _COLUMNS
     if columns[0][-1] <= index or len(columns) < 2:
         motzkin = sequences.motzkin_numbers(min(index.bit_length() + 1, RANK_LIMIT))
-        columns = _grow(bisect_right(motzkin, index), 1)
+        columns = _grow(bisect_right(motzkin, index), 1, motzkin)
     n = bisect_right(columns[0], index, lo=1)
 
     # The series index is the lexicographic index among all n-words: at

@@ -227,6 +227,126 @@ class TestUsageErrors:
         assert cli.main(["--help"]) == 0
 
 
+HELP = ("_HelpAction", ["-h", "--help"], "help", None, False, "==SUPPRESS==", None, None, "show this help message and exit")
+BFILE = ("_StoreTrueAction", ["--bfile"], "bfile", None, False, False, None, None, "print 'n value' pairs (b-file format)")
+
+# Every action of every parser as first recorded: (class, option strings,
+# dest, type, required, default, choices, metavar, help). The help text
+# around them differs between Python versions, so only these are pinned.
+DECLARATIONS = {
+    "": [HELP],
+    "numbers": [HELP, ("_StoreAction", ["--max"], "max", "int", True, None, None, "N", None), BFILE],
+    "diff": [
+        HELP,
+        ("_StoreAction", ["--max"], "max", "int", True, None, None, "N", None),
+        ("_StoreAction", ["--method"], "method", None, False, "subtraction", ["subtraction", "convolution"], None, None),
+        BFILE,
+    ],
+    "enumerate": [
+        HELP,
+        ("_StoreAction", ["--length"], "length", "int", True, None, None, "N", None),
+        ("_StoreAction", ["--filter"], "filter", None, False, "all", ["all", "unique", "inherited"], None, None),
+    ],
+    "rank": [HELP, ("_StoreAction", ["--word"], "word", None, True, None, None, "W", None)],
+    "unrank": [HELP, ("_StoreAction", ["--index"], "index", "int", True, None, None, "I", None)],
+    "series": [
+        HELP,
+        ("_StoreAction", ["--target"], "target", None, True, None, ["motzkin", "nat"], None, None),
+        ("_StoreAction", ["--order"], "order", "int", True, None, None, "N", None),
+        ("_StoreAction", ["--method"], "method", None, False, None, ["functional", "closed", "product", "linear"], None, None),
+    ],
+    "symdiff": [HELP, ("_StoreAction", ["--max"], "max", "int", True, None, None, "K", None)],
+    "verify": [HELP, ("_StoreAction", ["--max"], "max", "int", False, 12, None, "N", None)],
+}
+
+COMMAND_HELP = [
+    ("numbers", "print the Motzkin numbers M_0..M_N"),
+    ("diff", "print the difference numbers U_0..U_N"),
+    ("enumerate", "list all Motzkin words of one length in series order"),
+    ("rank", "position of a unique word in the series"),
+    ("unrank", "series element at an index"),
+    ("series", "generating function coefficients 0..N"),
+    ("symdiff", "difference numbers via the symbolic derivative cycle"),
+    ("verify", "cross-check all computation routes; census and round-trip checks are capped at lengths 14 and 10"),
+]
+
+# One plain command line per subcommand, each flag given.
+PLAIN_LINES = [
+    ["numbers", "--max", "3", "--bfile"],
+    ["diff", "--bfile", "--method", "convolution", "--max", "3"],
+    ["enumerate", "--length", "3", "--filter", "unique"],
+    ["rank", "--word", "()"],
+    ["unrank", "--index", "5"],
+    ["series", "--method", "linear", "--target", "nat", "--order", "3"],
+    ["symdiff", "--max", "3"],
+    ["verify", "--max", "3"],
+]
+
+
+def declarations(parser):
+    return [
+        (
+            type(action).__name__,
+            action.option_strings,
+            action.dest,
+            getattr(action.type, "__name__", action.type),
+            action.required,
+            action.default,
+            None if action.choices is None else list(action.choices),
+            action.metavar,
+            action.help,
+        )
+        for action in parser._actions
+        if not isinstance(action, argparse._SubParsersAction)
+    ]
+
+
+class TestParser:
+    def test_declarations_are_pinned(self):
+        parser = cli.build_parser()
+        commands = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+        assert [(action.dest, action.help) for action in commands._choices_actions] == COMMAND_HELP
+        found = {"": declarations(parser)} | {name: declarations(sub) for name, sub in commands.choices.items()}
+        assert found == DECLARATIONS
+
+    @pytest.mark.parametrize("argv", [*PLAIN_LINES, ["numbers", "--max", "-2"], ["verify"], ["diff", "--max", "٣"]])
+    def test_plain_lines_parse_as_argparse_does(self, argv):
+        assert cli._plain_fields(argv) == vars(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["numbers", "--help"],
+            ["num", "--max", "3"],
+            ["numbers", "--ma", "3"],
+            ["numbers", "--max=3"],
+            ["numbers", "--max", "3", "--max", "4"],
+            ["numbers", "--max", "3", "--bfile", "--bfile"],
+            ["numbers", "--max", "x"],
+            ["numbers", "--max"],
+            ["numbers"],
+            ["numbers", "--max", "3", "extra"],
+            ["diff", "--max", "3", "--method", "sub"],
+            ["rank", "--word", "-()"],
+            ["rank", "--word", "--index"],
+            ["unrank", "--index", "9" * 5000],
+        ],
+    )
+    def test_other_lines_are_left_to_argparse(self, argv):
+        assert cli._plain_fields(argv) is None
+
+    @pytest.mark.parametrize("argv", [["numbers", "--ma", "5"], ["numbers", "--max=5"], ["numbers", "--max", "1", "--max", "5"]])
+    def test_argparse_forms_still_work(self, capsys, argv):
+        assert run(capsys, *argv) == run(capsys, "numbers", "--max", "5")
+
+    def test_subcommand_help_exits_zero(self, capsys):
+        code, out, _ = run(capsys, "numbers", "--help")
+        assert code == 0
+        assert out.startswith("usage: motzkin numbers ")
+
+
 class TestInternalErrors:
     @pytest.mark.parametrize("error, code", [(InternalError, "INTERNAL"), (DegenerateFractionError, "DEGENERATE")])
     def test_reported_without_traceback(self, capsys, monkeypatch, error, code):
@@ -260,6 +380,86 @@ class TestClosedPipe:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 1
         assert err == b""
+
+
+def module_env(unbuffered=False):
+    """The environment of a ``python -m motzkin.cli`` process: the help
+    width fixed at 80 columns, and stdout buffered unless ``unbuffered``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def module_run(argv, unbuffered=False):
+    return subprocess.run(
+        [sys.executable, "-m", "motzkin.cli", *argv], env=module_env(unbuffered), capture_output=True, check=False
+    )
+
+
+class TestExitPath:
+    # The script exits through run(): main(), the atexit handlers, a flush
+    # of both streams, then os._exit without the interpreter's teardown.
+    @pytest.mark.parametrize(
+        "argv",
+        [["numbers", "--max", "5", "--bfile"], ["rank", "--word", "0()"], ["numbers", "--max", "x"], ["series", "--help"]],
+        ids=["success", "domain-error", "usage-error", "help"],
+    )
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_process_matches_main(self, argv, unbuffered, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(capsys, *argv)
+        done = module_run(argv, unbuffered)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
+
+    def test_status_codes(self):
+        statuses = [module_run(argv).returncode for argv in (["verify", "--max", "2"], ["rank", "--word", "00"], ["numbers"], ["--help"])]
+        assert statuses == [0, 1, 1, 0]
+
+    def test_atexit_handlers_run_and_no_teardown_follows(self):
+        # The handler writes to a buffered stdout after main() returns; its
+        # line shows that the handlers run before the final flush. A global
+        # whose __del__ writes to stderr would speak in the teardown.
+        probe = "\n".join(
+            [
+                "import atexit, os, runpy, sys",
+                "atexit.register(print, 'handler ran')",
+                "Noisy = type('Noisy', (), {'__del__': lambda self: os.write(2, b'teardown')})",
+                "noisy = Noisy()",
+                "sys.argv = ['motzkin', 'numbers', '--max', '2']",
+                "runpy.run_module('motzkin.cli', run_name='__main__')",
+            ]
+        )
+        done = subprocess.run([sys.executable, "-c", probe], env=module_env(), capture_output=True, check=False)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"1\n1\n2\nhandler ran\n", b"")
+
+    @pytest.mark.parametrize("argv, status", [(["numbers", "--max", "3"], 0), (["rank", "--word", "00"], 1)])
+    def test_no_stderr_keeps_the_status(self, argv, status):
+        # Started without descriptor 2, the process has sys.stderr None.
+        done = subprocess.run(
+            [sys.executable, "-m", "motzkin.cli", *argv],
+            env=module_env(),
+            stdout=subprocess.DEVNULL,
+            preexec_fn=lambda: os.close(2),
+            check=False,
+        )
+        assert done.returncode == status
+
+    def test_failed_flush_falls_back_to_the_interpreter_exit(self):
+        # Help text waits in a buffered stdout whose reader is gone. The
+        # flush in run() fails, so the interpreter's own exit reports it,
+        # with the status 120 it has always given here.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "motzkin.cli", "--help"], env=module_env(), stdout=write, stderr=subprocess.PIPE
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == 120
+        assert b"BrokenPipeError" in done.stderr
 
 
 class TestLargeIntegers:
@@ -338,6 +538,15 @@ class TestStartup:
     )
     def test_exact_routes_load_no_fractions(self, argv):
         assert not {"fractions", "decimal"} & loaded_after(f"from motzkin import cli\ncli.main({argv!r})")
+
+    # A plain command line is read without argparse, and so without the
+    # gettext and locale modules that argparse loads.
+    @pytest.mark.parametrize("argv", PLAIN_LINES, ids=[argv[0] for argv in PLAIN_LINES])
+    def test_plain_line_loads_no_argparse(self, argv):
+        assert not {"argparse", "gettext", "locale"} & loaded_after(f"from motzkin import cli\ncli.main({argv!r})")
+
+    def test_other_line_loads_argparse(self):
+        assert "argparse" in loaded_after("from motzkin import cli\nassert cli.main(['numbers', '--ma', '3']) == 0")
 
     def test_symdiff_loads_no_series(self):
         assert "motzkin.series" not in loaded_after("from motzkin import cli\ncli.main(['symdiff', '--max', '3'])")

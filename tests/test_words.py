@@ -560,6 +560,33 @@ class TestUnrank:
         if table == "cold":
             assert words._COLUMNS == cold_table()
 
+    def test_cold_call_computes_the_motzkin_numbers_once(self):
+        # unrank searches M_0..M_(b+1) for the length, and the table takes
+        # column 0 from that list rather than computing it again.
+        index = sequences.motzkin_numbers(400)[-1] - 1
+        report = run_fresh(COUNTED_UNRANK_PROBE, str(index), None)
+        assert report["calls"] == 1
+        assert report["word"] == words.unrank(index)
+        assert len(report["word"]) == 400
+        assert report["columns"] == table_layout(400, len(report["columns"]) - 1)
+
+
+# Unranks the index in argv[1] on a cold table, counting the calls to
+# sequences.motzkin_numbers; reports them, the word and the table.
+COUNTED_UNRANK_PROBE = """
+import json, sys
+from motzkin import sequences, words
+calls = 0
+original = sequences.motzkin_numbers
+def counted(n_max):
+    global calls
+    calls += 1
+    return original(n_max)
+sequences.motzkin_numbers = counted
+word = words.unrank(int(sys.argv[1]))
+print(json.dumps({"calls": calls, "word": word, "columns": words._COLUMNS}))
+"""
+
 
 # Unranks each index read from stdin on a cold table; reports each
 # LimitExceededError message and the table afterwards.
