@@ -30,16 +30,16 @@ _SUBMODULES = {
     "initial_fraction": "symdiff",
     "nat_coefficients": "symdiff",
     "ENUMERATION_LIMIT": "words",
-    "RANK_LIMIT": "words",
     "classify": "words",
     "compare": "words",
-    "completion_count": "words",
     "enumerate_words": "words",
-    "rank": "words",
     "sort_key": "words",
-    "unrank": "words",
     "validate": "words",
     "word_blocks": "words",
+    "RANK_LIMIT": "ranking",
+    "completion_count": "ranking",
+    "rank": "ranking",
+    "unrank": "ranking",
 }
 
 

@@ -499,11 +499,12 @@ class TestStartup:
     def test_import_loads_only_the_errors(self):
         loaded = loaded_after("import motzkin")
         assert PACKAGE_MODULES & loaded == {"motzkin.errors"}
+        assert "motzkin.ranking" not in loaded
         assert not {"fractions", "decimal", "typing"} & loaded
 
     def test_numbers_loads_only_the_tables(self):
         loaded = loaded_after("from motzkin import cli\ncli.main(['numbers', '--max', '3'])")
-        assert not {"motzkin.series", "motzkin.symdiff", "motzkin.words", "fractions"} & loaded
+        assert not {"motzkin.series", "motzkin.symdiff", "motzkin.words", "motzkin.ranking", "fractions"} & loaded
 
     @pytest.mark.parametrize(
         "argv",

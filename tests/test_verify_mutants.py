@@ -9,7 +9,7 @@ mutant: the table only grows.
 
 import pytest
 
-from motzkin import InternalError, cli, sequences, series, symdiff, words
+from motzkin import InternalError, cli, ranking, sequences, series, symdiff, words
 
 
 def _bump(values, n):
@@ -44,11 +44,11 @@ def wrong_product_coefficient(monkeypatch):
 def wrong_completion_row(monkeypatch):
     # Start the shared table cold, so the run builds every entry through
     # the mutant.
-    original = words._grow
-    monkeypatch.setattr(words, "_COLUMNS", [[1]])
+    original = ranking._grow
+    monkeypatch.setattr(ranking, "_COLUMNS", [[1]])
 
     def grow(length, depth=0):
-        built = len(words._COLUMNS[0])
+        built = len(ranking._COLUMNS[0])
         columns = original(length, depth)
         # Wrong c(1, 5): it is built with length 6, once the words of
         # length 4 have deepened the table to depth 3. Growing to length 7
@@ -58,23 +58,23 @@ def wrong_completion_row(monkeypatch):
             columns[1][5] += 2
         return columns
 
-    monkeypatch.setattr(words, "_grow", grow)
+    monkeypatch.setattr(ranking, "_grow", grow)
 
 
 def wrong_table_seed(monkeypatch):
     # The table alone starts length 7 from M_7 + 2: the growth routine
     # reads the wrong M_7, every other route the true one. Cold, as above;
     # the pad entry c(4, 3) reads 2.
-    original = words._grow
+    original = ranking._grow
     numbers = sequences.motzkin_numbers
-    monkeypatch.setattr(words, "_COLUMNS", [[1]])
+    monkeypatch.setattr(ranking, "_COLUMNS", [[1]])
 
     def grow(length, depth=0):
         with monkeypatch.context() as table_only:
             table_only.setattr(sequences, "motzkin_numbers", lambda n_max: _bump(numbers(n_max), 7))
             return original(length, depth)
 
-    monkeypatch.setattr(words, "_grow", grow)
+    monkeypatch.setattr(ranking, "_grow", grow)
 
 
 def wrong_cursor_numerator(monkeypatch):

@@ -22,7 +22,7 @@ from motzkin import (
     PrefixViolationError,
     UnbalancedError,
 )
-from motzkin import cli, sequences, words
+from motzkin import cli, ranking, sequences, words
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -227,14 +227,14 @@ RANK_VERDICTS = [
 # type and the table afterwards.
 GROWTH_PROBE = """
 import json, sys
-from motzkin import MotzkinError, words
+from motzkin import MotzkinError, ranking, words
 errors = []
 for word in json.load(sys.stdin):
     try:
         words.rank(word)
     except MotzkinError as exc:
         errors.append(type(exc).__name__)
-print(json.dumps({"errors": errors, "columns": words._COLUMNS}))
+print(json.dumps({"errors": errors, "columns": ranking._COLUMNS}))
 """
 
 
@@ -325,7 +325,7 @@ class TestCompletionCount:
         # Oracle: walk every suffix of each length once; a suffix finishes
         # from depth h when its running sum never falls below -h and ends
         # at -h. Every pair with depth + remaining <= 12, from a cold table.
-        monkeypatch.setattr(words, "_COLUMNS", cold_table())
+        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         for remaining in range(13):
             finishing = Counter()
             for suffix in product((0, 1, -1), repeat=remaining):
@@ -337,10 +337,10 @@ class TestCompletionCount:
     def test_unreachable_depth(self, monkeypatch):
         # A depth above the symbols left counts 0 at any size, and builds
         # nothing.
-        monkeypatch.setattr(words, "_COLUMNS", cold_table())
+        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         for depth, remaining in [(5, 3), (1, 0), (words.RANK_LIMIT + 1, words.RANK_LIMIT), (10**6, 2)]:
             assert words.completion_count(depth, remaining) == 0
-        assert words._COLUMNS == cold_table()
+        assert ranking._COLUMNS == cold_table()
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -467,7 +467,7 @@ class TestRank:
     def test_matches_the_checked_walk_on_every_short_string(self, table, monkeypatch):
         # Every string over "0()x" of length <= 8, against classify and
         # then the block-sum walk; a cold table starts each call at length 0.
-        monkeypatch.setattr(words, "_COLUMNS", cold_table())
+        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         rows = reference_rows(8)
         if table == "warm":
             words.completion_count(0, 8)
@@ -475,27 +475,27 @@ class TestRank:
             for symbols in product("0()x", repeat=n):
                 word = "".join(symbols)
                 if table == "cold":
-                    words._COLUMNS = cold_table()
+                    ranking._COLUMNS = cold_table()
                 expected = checked_walk_verdict(word, rows)
                 try:
                     assert words.rank(word) == expected
                 except MotzkinError as exc:
                     assert (type(exc), str(exc)) == expected
                     if table == "cold":
-                        assert words._COLUMNS == cold_table()
+                        assert ranking._COLUMNS == cold_table()
 
     @pytest.mark.parametrize("word, calls", [("((()))", [(6, 4)]), ("(0)", [(3, 2)])])
     def test_cold_rank_grows_the_table_once(self, word, calls, monkeypatch):
         # One growth, to the word's length and one past its deepest depth.
-        monkeypatch.setattr(words, "_COLUMNS", cold_table())
-        original = words._grow
+        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
+        original = ranking._grow
         seen = []
 
         def grow(length, depth=0):
             seen.append((length, depth))
             return original(length, depth)
 
-        monkeypatch.setattr(words, "_grow", grow)
+        monkeypatch.setattr(ranking, "_grow", grow)
         assert words.rank(word) == reference_rank(word, reference_rows(len(word)))
         assert seen == calls
 
@@ -519,17 +519,17 @@ class TestRank:
     def test_unclosable_zero_is_refused(self, table, monkeypatch):
         # The second '0' leaves 300 open with 299 symbols left.
         word = "(" * 300 + "00" + ")" * 299
-        monkeypatch.setattr(words, "_COLUMNS", cold_table())
+        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         if table == "warm":
             words.completion_count(0, len(word))
         with pytest.raises(NotUniqueError) as caught:
             words.rank(word)
         assert str(caught.value) == f"not a Motzkin word: 1 unmatched '(' in {word!r}"
         if table == "cold":
-            assert words._COLUMNS == cold_table()
+            assert ranking._COLUMNS == cold_table()
         else:
             # The walk read past depth 0, but the word builds no column.
-            assert len(words._COLUMNS) == 1
+            assert len(ranking._COLUMNS) == 1
 
 
 class TestUnrank:
@@ -552,13 +552,13 @@ class TestUnrank:
     @pytest.mark.parametrize("table", ["cold", "warm"])
     def test_rejects_a_float(self, table, monkeypatch):
         # A warm table once answered 8.9 with the word at index 8.
-        monkeypatch.setattr(words, "_COLUMNS", cold_table())
+        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         if table == "warm":
             words.completion_count(0, 4)
         with pytest.raises(TypeError):
             words.unrank(8.9)
         if table == "cold":
-            assert words._COLUMNS == cold_table()
+            assert ranking._COLUMNS == cold_table()
 
     def test_cold_call_computes_the_motzkin_numbers_once(self):
         # unrank searches M_0..M_(b+1) for the length, and the table takes
@@ -575,7 +575,7 @@ class TestUnrank:
 # sequences.motzkin_numbers; reports them, the word and the table.
 COUNTED_UNRANK_PROBE = """
 import json, sys
-from motzkin import sequences, words
+from motzkin import ranking, sequences, words
 calls = 0
 original = sequences.motzkin_numbers
 def counted(n_max):
@@ -584,7 +584,7 @@ def counted(n_max):
     return original(n_max)
 sequences.motzkin_numbers = counted
 word = words.unrank(int(sys.argv[1]))
-print(json.dumps({"calls": calls, "word": word, "columns": words._COLUMNS}))
+print(json.dumps({"calls": calls, "word": word, "columns": ranking._COLUMNS}))
 """
 
 
@@ -592,14 +592,14 @@ print(json.dumps({"calls": calls, "word": word, "columns": words._COLUMNS}))
 # LimitExceededError message and the table afterwards.
 FAR_INDEX_PROBE = """
 import json, sys
-from motzkin import LimitExceededError, words
+from motzkin import LimitExceededError, ranking, words
 messages = []
 for index in json.load(sys.stdin):
     try:
         words.unrank(index)
     except LimitExceededError as exc:
         messages.append(str(exc))
-print(json.dumps({"messages": messages, "columns": words._COLUMNS}))
+print(json.dumps({"messages": messages, "columns": ranking._COLUMNS}))
 """
 
 # Calls words.<argv[1]> on the argument read from stdin on a cold table;
@@ -641,7 +641,7 @@ class TestRankLimit:
         with pytest.raises(LimitExceededError):
             words.unrank(10**3000)
         last = words.unrank(motzkin[-1] - 1)
-        assert len(words._COLUMNS[0]) == words.RANK_LIMIT + 1
+        assert len(ranking._COLUMNS[0]) == words.RANK_LIMIT + 1
         assert len(last) == words.RANK_LIMIT
         assert words.rank(last) == motzkin[-1] - 1
 
@@ -699,7 +699,7 @@ print(json.dumps([run(first), run(not first)]))
 # interleaved lengths; reports their results and the final table shape.
 THREAD_PROBE = """
 import json, sys, threading
-from motzkin import sequences, words
+from motzkin import ranking, sequences, words
 jobs = json.load(sys.stdin)
 results = [None] * len(jobs)
 barrier = threading.Barrier(len(jobs))
@@ -720,8 +720,8 @@ top = int(sys.argv[1])
 print(json.dumps({
     "alive": sum(thread.is_alive() for thread in threads),
     "results": results,
-    "columns": words._COLUMNS,
-    "depth": len(words._COLUMNS) - 1,
+    "columns": ranking._COLUMNS,
+    "depth": len(ranking._COLUMNS) - 1,
     "counts_ok": [words.completion_count(0, n) for n in range(top + 1)] == sequences.motzkin_numbers(top),
 }))
 """
@@ -781,7 +781,7 @@ class TestSharedTable:
     def test_growth_order_does_not_change_the_table(self, order, monkeypatch):
         # Lengths and depths grow down from M_n in one routine; whatever the
         # order, every entry held must be the upward build's.
-        monkeypatch.setattr(words, "_COLUMNS", cold_table())
+        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         top, depth = 60, 20
         if order == "length-first":
             steps = [(top, 0), (top, depth)]
@@ -793,19 +793,19 @@ class TestSharedTable:
             depths = sorted(rng.sample(range(1, depth), 9)) + [depth]
             steps = [(n, min(h, (n + 2) // 2)) for n, h in zip(lengths, depths)]
         for length, deepest_read in steps:
-            words._grow(length, deepest_read)
-            assert words._COLUMNS == table_layout(length, deepest_read)
+            ranking._grow(length, deepest_read)
+            assert ranking._COLUMNS == table_layout(length, deepest_read)
 
     def test_deepening_keeps_the_columns_it_holds(self, monkeypatch):
         # unrank deepens the table one column at a time inside its walk, so
         # a growth in depth alone must reuse every column it holds, not copy
         # it, and a request the table covers must return it unchanged.
-        monkeypatch.setattr(words, "_COLUMNS", cold_table())
-        shallow = words._grow(60, 3)
-        deep = words._grow(60, 8)
+        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
+        shallow = ranking._grow(60, 3)
+        deep = ranking._grow(60, 8)
         assert all(deep[h] is shallow[h] for h in range(4))
         assert deep == table_layout(60, 8)
-        assert words._grow(40, 2) is deep
+        assert ranking._grow(40, 2) is deep
 
     @pytest.mark.parametrize("first", ["", "(((())))"], ids=["by-column", "by-diagonal"])
     def test_wrong_motzkin_number_fails_a_pad(self, first, monkeypatch, capsys):
@@ -817,19 +817,19 @@ class TestSharedTable:
         original = sequences.motzkin_numbers
         monkeypatch.setattr(sequences, "motzkin_numbers", lambda n_max: [m + (n == 9) for n, m in enumerate(original(n_max))])
         word = "(" * 5 + ")" * 5
-        monkeypatch.setattr(words, "_COLUMNS", cold_table())
+        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         if first:
             words.rank(first)
         else:
-            words._grow(len(word))
-        before = words._COLUMNS
+            ranking._grow(len(word))
+        before = ranking._COLUMNS
         contents = [list(column) for column in before]
         with pytest.raises(InternalError) as caught:
             words.rank(word)
         assert str(caught.value) == "c(5, 4) = 1, not 0"
-        assert words._COLUMNS is before
-        assert words._COLUMNS == contents
-        words._COLUMNS = cold_table()
+        assert ranking._COLUMNS is before
+        assert ranking._COLUMNS == contents
+        ranking._COLUMNS = cold_table()
         assert cli.main(["rank", "--word", word]) == 3
         assert capsys.readouterr().err.startswith("error: INTERNAL: ")
 
