@@ -34,12 +34,12 @@ _SUBMODULES = {
     "compare": "words",
     "enumerate_words": "words",
     "sort_key": "words",
-    "validate": "words",
     "word_blocks": "words",
     "RANK_LIMIT": "ranking",
     "completion_count": "ranking",
     "rank": "ranking",
     "unrank": "ranking",
+    "validate": "ranking",
 }
 
 

@@ -33,22 +33,10 @@ length n reach depths of order sqrt(n), so a table of length N holds
 about N * D counts: 24 random words of length 400 left 17411 counts in
 1.2 MB (tracemalloc), where every depth takes 60701 counts in 3.0 MB.
 
-One routine grows the table, down from the Motzkin numbers. It checks
-once, under its lock, whether the published table covers the request,
-and if so returns it unchanged. A growth in length takes column 0 whole
-as ``sequences.motzkin_numbers`` returns it, or, from ``unrank``, as a
-slice of the Motzkin numbers it searched for the length, so a cold
-``unrank`` computes them once; every deeper column h
-follows from columns h - 1 and h - 2 by the one rule
-c(h, r) = c(h - 1, r + 1) - c(h - 1, r) - c(h - 2, r). It extends every
-column to the new length, adds the missing depths, checks every pad
-entry it built and only then publishes the new table whole, so a caller
-holds either the old table or the new one. A pad that is not 0 raises
-InternalError and publishes nothing. So each growth ties the table to
-the Motzkin values; every block either walk can reach reads as a number
-and a block no word can take reads 0. It is also the one place that
-enforces RANK_LIMIT: a length above it raises LimitExceededError before
-anything is built.
+``_grow`` is the one routine that builds the table, down from the
+Motzkin numbers, and its docstring states how. It is also the one place
+that enforces RANK_LIMIT: a length above it raises LimitExceededError
+before anything is built.
 
 ``rank`` has one path: walk, and on a refusal check, grow and walk
 again. The walk checks the word as it ranks it, under one rule: '0' and
@@ -56,7 +44,8 @@ again. The walk checks the word as it ranks it, under one rule: '0' and
 an open '('. So a walk that reaches the end is at depth 0. It refuses a
 symbol outside the alphabet or one that breaks the rule, a word longer
 than the table, and a read past the depth bound. Only then is the word
-classified, once, and ``validate`` names any fault; a unique word grows
+checked, once: ``validate`` names any fault, and a valid word that is
+not "0" and does not start with '(' has no position. A unique word grows
 the table once, to its length and its deepest depth plus one, and is
 walked again. The table is built once per process and only grows, and
 only for a word already checked, so a malformed word builds no length
@@ -64,8 +53,9 @@ or depth. ``unrank`` finds the length of an index among the Motzkin
 numbers up to M_RANK_LIMIT, so an index of M_RANK_LIMIT or more asks
 for length RANK_LIMIT + 1 and is refused before anything is built.
 
-The classification comes from ``motzkin.words``, imported on that one
-path, so loading this module loads no listing code.
+``validate`` is defined here beside the alphabet it checks, and
+``motzkin.words`` binds both, so this module imports nothing of the
+listing.
 """
 
 import operator
@@ -74,13 +64,38 @@ from bisect import bisect_right
 from itertools import accumulate, repeat
 
 from . import sequences
+from .errors import BadSymbolError, PrefixViolationError, UnbalancedError  # the faults validate names
 from .errors import InternalError, LimitExceededError, MotzkinWordError, NotUniqueError
 
-# The alphabet both walks read. ``words`` binds its symbols from here, so
-# each is defined once; the listing shares nothing else with this module.
+# The alphabet both walks read, and below it the word check. ``words``
+# binds all four from here, so each is defined once; the listing reads
+# nothing else of this module.
 ZERO = "0"
 OPEN = "("
 CLOSE = ")"
+
+
+def validate(text: str) -> str:
+    """Return ``text`` unchanged if it is a Motzkin word, else raise.
+
+    Raises BadSymbolError for characters outside the alphabet,
+    PrefixViolationError when some prefix has more ')' than '(', and
+    UnbalancedError when the totals differ. The empty string validates.
+    """
+    depth = 0
+    for position, symbol in enumerate(text):
+        if symbol == OPEN:
+            depth += 1
+        elif symbol == CLOSE:
+            if not depth:
+                raise PrefixViolationError(f"prefix {text[: position + 1]!r} closes below depth zero")
+            depth -= 1
+        elif symbol != ZERO:
+            raise BadSymbolError(f"symbol {symbol!r} at position {position}")
+    if depth != 0:
+        raise UnbalancedError(f"{depth} unmatched '(' in {text!r}")
+    return text
+
 
 # The completion table stays for the life of the process. The deepest
 # word of this length, "(" * 500 + ")" * 500, needs 502 columns and
@@ -89,35 +104,32 @@ CLOSE = ")"
 RANK_LIMIT = 1000
 
 # The completion table up to length N = len(_COLUMNS[0]) - 1 and depth
-# bound D = len(_COLUMNS) - 1, shared by every call: column h is
-# [c(h, 0), ..., c(h, N - h)], so column 0 is M_0..M_N and the pad entries
-# c(h, r) with h > r hold the zeros they must. A walk of length n <= N
-# stands at depth h <= n - 1 - r when r symbols follow and reads c(h, r)
-# and c(h + 1, r), both held once D >= h + 1; D is the deepest h + 1 that
-# any walk has read. A published table never changes: _grow checks it and
-# builds the next one whole, both under _GROWING, and then rebinds _COLUMNS,
-# so a reader's snapshot is always a whole table and readers need no lock.
+# bound D = len(_COLUMNS) - 1, shared by every call. Only _grow rebinds it,
+# to a whole new table, and no published table changes, so a reader's
+# snapshot is always a whole table and readers need no lock.
 _COLUMNS: list[list[int]] = [[1]]
 _GROWING = threading.Lock()
 
 
-def _grow(length: int, depth: int = 0, motzkin: list[int] | None = None) -> list[list[int]]:
+def _grow(length: int, depth: int = 0) -> list[list[int]]:
     """The completion table up to length ``length`` and depth ``depth`` at
     least: columns h = 0..D, where column h counts the ways to finish from
     h open parentheses in exactly r = 0..N - h symbols.
 
     One check, under _GROWING, returns the published table unchanged when
     it already covers the request. A growth in length takes column 0 whole
-    from ``motzkin_numbers``, or as a slice of ``motzkin``, a caller's
-    list M_0, M_1, ... when it reaches ``length``; every column h >= 1
-    follows from columns h - 1 and h - 2 by c(h, r) =
-    c(h - 1, r + 1) - c(h - 1, r) - c(h - 2, r). Each pad entry built,
-    c(h, r) with h > r, counts the ways to close more parentheses than
-    symbols are left, so it must be 0; otherwise InternalError is raised
-    and nothing is published. A growth in length copies every column it
-    extends, so growing a deep table one length at a time costs the whole
-    table per step. Raises LimitExceededError for a length above
-    RANK_LIMIT, before anything is built.
+    from ``sequences.motzkin_numbers``; every column h >= 1 follows from
+    columns h - 1 and h - 2 by c(h, r) =
+    c(h - 1, r + 1) - c(h - 1, r) - c(h - 2, r). The growth extends every
+    column to the new length and adds the missing depths. Each pad entry
+    built, c(h, r) with h > r, counts the ways to close more parentheses
+    than symbols are left, so it must be 0; otherwise InternalError is
+    raised and nothing is published. Only then is the new table published
+    whole, still under _GROWING, so a caller holds either the old table
+    or the new one. A growth in length copies every column it extends,
+    so growing a deep table one length at a time costs the whole table
+    per step. Raises LimitExceededError for a length above RANK_LIMIT,
+    before anything is built.
     """
     global _COLUMNS
     if length > RANK_LIMIT:
@@ -126,12 +138,7 @@ def _grow(length: int, depth: int = 0, motzkin: list[int] | None = None) -> list
         columns = _COLUMNS
         if length < len(columns[0]) and depth < len(columns):
             return columns
-        if length < len(columns[0]):
-            grown = [columns[0]]
-        elif motzkin is not None and length < len(motzkin):
-            grown = [motzkin[: length + 1]]
-        else:
-            grown = [sequences.motzkin_numbers(length)]
+        grown = [columns[0] if length < len(columns[0]) else sequences.motzkin_numbers(length)]
         n = len(grown[0]) - 1
         for h in range(1, max(depth, len(columns) - 1) + 1):
             column = columns[h] if h < len(columns) else []
@@ -157,8 +164,10 @@ def completion_count(depth: int, remaining: int) -> int:
     Otherwise a word that reaches this state has at least
     ``depth + remaining`` symbols: LimitExceededError is raised when that
     is above RANK_LIMIT, and else the table grows to that length and to
-    ``depth`` if it must.
+    ``depth`` if it must. Raises TypeError for an argument that is not an
+    integer.
     """
+    depth, remaining = operator.index(depth), operator.index(remaining)
     if depth < 0 or remaining < 0:
         raise ValueError("depth and remaining must be nonnegative")
     if depth > remaining:
@@ -206,20 +215,20 @@ def rank(word: str) -> int:
     anything that is not a Motzkin word, then LimitExceededError for a
     word longer than RANK_LIMIT.
     """
-    position = _position(word, _COLUMNS) if word == ZERO or word[:1] == OPEN else None
+    unique = word == ZERO or word[:1] == OPEN
+    position = _position(word, _COLUMNS) if unique else None
     if position is None:
         # Only a checked word may grow the table: a malformed word builds
         # no length or depth, and its fault is reported before a length
         # above RANK_LIMIT.
-        from .words import _DELTA, UNIQUE, classify
-
         try:
-            kind = classify(word)
+            validate(word)
         except MotzkinWordError as exc:
             raise NotUniqueError(f"not a Motzkin word: {exc}") from exc
-        if kind != UNIQUE:
+        if not unique:
             raise NotUniqueError(f"{word!r} has no position in the series")
-        position = _position(word, _grow(len(word), max(accumulate(map(_DELTA.get, word))) + 1))
+        deepest = max(accumulate((symbol == OPEN) - (symbol == CLOSE) for symbol in word))
+        position = _position(word, _grow(len(word), deepest + 1))
         if position is None:
             raise InternalError(f"rank refused the unique word {word!r}")
     return position
@@ -241,12 +250,11 @@ def unrank(index: int) -> str:
     # M_0..M_(b+1) for an index of b bits, since M_n >= 2^(n-1), and to
     # depth 1, which the walk holds from its first step. Among
     # M_0..M_RANK_LIMIT, an index of M_RANK_LIMIT or more finds length
-    # RANK_LIMIT + 1, which _grow refuses before it builds anything. The
-    # numbers searched are handed on, so column 0 is not computed twice.
+    # RANK_LIMIT + 1, which _grow refuses before it builds anything.
     columns = _COLUMNS
     if columns[0][-1] <= index or len(columns) < 2:
         motzkin = sequences.motzkin_numbers(min(index.bit_length() + 1, RANK_LIMIT))
-        columns = _grow(bisect_right(motzkin, index), 1, motzkin)
+        columns = _grow(bisect_right(motzkin, index), 1)
     n = bisect_right(columns[0], index, lo=1)
 
     # The series index is the lexicographic index among all n-words: at

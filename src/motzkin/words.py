@@ -26,14 +26,16 @@ the recurrences.
 ``rank``, ``unrank``, ``completion_count`` and ``RANK_LIMIT`` are
 defined in ``motzkin.ranking`` and bound here as well, so callers reach
 both directions of the series through this module. The alphabet's three
-symbols are defined there too; the listing shares nothing else with it.
+symbols and ``validate``, the word check that ``classify`` and
+``sort_key`` make, are defined there too and bound here; the listing
+reads nothing of that module but the three symbols.
 """
 
 import operator
 from collections.abc import Iterator
 
-from .errors import BadSymbolError, LimitExceededError, PrefixViolationError, UnbalancedError
-from .ranking import CLOSE, OPEN, RANK_LIMIT, ZERO, completion_count, rank, unrank  # noqa: F401
+from .errors import LimitExceededError
+from .ranking import CLOSE, OPEN, RANK_LIMIT, ZERO, completion_count, rank, unrank, validate  # noqa: F401
 
 SYMBOLS = (ZERO, OPEN, CLOSE)  # ascending alphabet order
 _DELTA = {ZERO: 0, OPEN: 1, CLOSE: -1}
@@ -49,28 +51,6 @@ INHERITED = "inherited"
 ENUMERATION_LIMIT = 16
 
 FILTERS = ("all", UNIQUE, INHERITED)
-
-
-def validate(text: str) -> str:
-    """Return ``text`` unchanged if it is a Motzkin word, else raise.
-
-    Raises BadSymbolError for characters outside the alphabet,
-    PrefixViolationError when some prefix has more ')' than '(', and
-    UnbalancedError when the totals differ. The empty string validates.
-    """
-    depth = 0
-    for position, symbol in enumerate(text):
-        if symbol == OPEN:
-            depth += 1
-        elif symbol == CLOSE:
-            if not depth:
-                raise PrefixViolationError(f"prefix {text[: position + 1]!r} closes below depth zero")
-            depth -= 1
-        elif symbol != ZERO:
-            raise BadSymbolError(f"symbol {symbol!r} at position {position}")
-    if depth != 0:
-        raise UnbalancedError(f"{depth} unmatched '(' in {text!r}")
-    return text
 
 
 def classify(word: str) -> str:

@@ -4,6 +4,7 @@ walks in ``motzkin.ranking`` are two routes to one series, which
 fault could pass both checks."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -42,18 +43,39 @@ def defined_in_ranking():
     return defined
 
 
+# On a cold table, ranks a valid word longer than the table, an inherited
+# word and a malformed word, and unranks one index, through the package's
+# lazy names; prints each result or error message and the modules loaded.
+COLD_CALLS = """
+import json, sys, motzkin
+results = []
+for word in ["(0)", "0()", "())("]:
+    try:
+        results.append(motzkin.rank(word))
+    except motzkin.NotUniqueError as exc:
+        results.append(str(exc))
+results.append(motzkin.unrank(6))
+print(json.dumps({"results": results, "modules": sorted(sys.modules)}))
+"""
+
+
 def test_ranking_loads_no_listing():
-    script = "import sys, motzkin.ranking; print(' '.join(sys.modules))"
     result = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", COLD_CALLS],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         check=True,
     )
-    loaded = set(result.stdout.split())
-    assert "motzkin.ranking" in loaded
-    assert "motzkin.words" not in loaded
+    report = json.loads(result.stdout)
+    assert report["results"] == [
+        2,
+        "'0()' has no position in the series",
+        "not a Motzkin word: prefix '())' closes below depth zero",
+        "(())",
+    ]
+    assert "motzkin.ranking" in report["modules"]
+    assert "motzkin.words" not in report["modules"]
 
 
 def test_listing_names_nothing_of_the_table_or_walks():

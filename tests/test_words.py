@@ -346,6 +346,15 @@ class TestCompletionCount:
         with pytest.raises(ValueError):
             words.completion_count(-1, 3)
 
+    @pytest.mark.parametrize("depth, remaining", [(2.5, 1), (5.0, 1.0), (1.0, 5.0), (0, 4.0)])
+    def test_rejects_a_float(self, depth, remaining, monkeypatch):
+        # The first two once counted 0 and the third failed inside
+        # sequences; none may build anything.
+        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            words.completion_count(depth, remaining)
+        assert ranking._COLUMNS == cold_table()
+
     def test_limit(self):
         # A state at depth h with r symbols left lies on a word of at least
         # h + r symbols, so h + r is bounded, not r alone.
@@ -560,31 +569,23 @@ class TestUnrank:
         if table == "cold":
             assert ranking._COLUMNS == cold_table()
 
-    def test_cold_call_computes_the_motzkin_numbers_once(self):
-        # unrank searches M_0..M_(b+1) for the length, and the table takes
-        # column 0 from that list rather than computing it again.
+    def test_cold_call_builds_the_table_to_its_length(self):
+        # unrank searches M_0..M_(b+1) for the length, and the table grows
+        # to that length and to each depth the walk reaches.
         index = sequences.motzkin_numbers(400)[-1] - 1
-        report = run_fresh(COUNTED_UNRANK_PROBE, str(index), None)
-        assert report["calls"] == 1
+        report = run_fresh(COLD_UNRANK_PROBE, str(index), None)
         assert report["word"] == words.unrank(index)
         assert len(report["word"]) == 400
         assert report["columns"] == table_layout(400, len(report["columns"]) - 1)
 
 
-# Unranks the index in argv[1] on a cold table, counting the calls to
-# sequences.motzkin_numbers; reports them, the word and the table.
-COUNTED_UNRANK_PROBE = """
+# Unranks the index in argv[1] on a cold table; reports the word and the
+# table.
+COLD_UNRANK_PROBE = """
 import json, sys
-from motzkin import ranking, sequences, words
-calls = 0
-original = sequences.motzkin_numbers
-def counted(n_max):
-    global calls
-    calls += 1
-    return original(n_max)
-sequences.motzkin_numbers = counted
+from motzkin import ranking, words
 word = words.unrank(int(sys.argv[1]))
-print(json.dumps({"calls": calls, "word": word, "columns": ranking._COLUMNS}))
+print(json.dumps({"word": word, "columns": ranking._COLUMNS}))
 """
 
 
