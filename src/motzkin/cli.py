@@ -78,16 +78,16 @@ def _cmd_enumerate(args: SimpleNamespace) -> int:
 
 
 def _cmd_rank(args: SimpleNamespace) -> int:
-    from . import words
+    from . import ranking
 
-    print(words.rank(args.word))
+    print(ranking.rank(args.word))
     return 0
 
 
 def _cmd_unrank(args: SimpleNamespace) -> int:
-    from . import words
+    from . import ranking
 
-    print(words.unrank(args.index))
+    print(ranking.unrank(args.index))
     return 0
 
 

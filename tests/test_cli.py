@@ -1,6 +1,7 @@
 import argparse
 import importlib
 import os
+import re
 import subprocess
 import sys
 import time
@@ -488,7 +489,31 @@ def loaded_after(probe):
     return set(result.stdout.split())
 
 
-PACKAGE_MODULES = {f"motzkin.{name}" for name in ("cli", "errors", "sequences", "series", "symdiff", "words")}
+PACKAGE_MODULES = {f"motzkin.{name}" for name in ("cli", "errors", "ranking", "sequences", "series", "symdiff", "words")}
+
+
+def startup_table():
+    """The README's startup table: subcommand -> every ``motzkin.*``
+    module its process loads, ``cli`` and ``errors`` included."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Startup", 1)[1].split("\n#", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            commands, modules = line.split("|")[1:3]
+            loaded = {"motzkin.cli", "motzkin.errors", *(f"motzkin.{name}" for name in re.findall(r"`(\w+)`", modules))}
+            table.update(dict.fromkeys(re.findall(r"`(\w+)`", commands), loaded))
+    return table
+
+
+# One process per line: each plain line, the other three series methods
+# and a refused rank.
+STARTUP_LINES = {argv[0]: argv for argv in PLAIN_LINES} | {
+    "series-functional": ["series", "--target", "motzkin", "--method", "functional", "--order", "3"],
+    "series-closed": ["series", "--target", "motzkin", "--method", "closed", "--order", "3"],
+    "series-product": ["series", "--target", "nat", "--method", "product", "--order", "3"],
+    "rank-refused": ["rank", "--word", "())("],
+}
 
 
 class TestStartup:
@@ -499,51 +524,17 @@ class TestStartup:
     def test_import_loads_only_the_errors(self):
         loaded = loaded_after("import motzkin")
         assert PACKAGE_MODULES & loaded == {"motzkin.errors"}
-        assert "motzkin.ranking" not in loaded
         assert not {"fractions", "decimal", "typing"} & loaded
 
-    def test_numbers_loads_only_the_tables(self):
-        loaded = loaded_after("from motzkin import cli\ncli.main(['numbers', '--max', '3'])")
-        assert not {"motzkin.series", "motzkin.symdiff", "motzkin.words", "motzkin.ranking", "fractions"} & loaded
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["numbers", "--max", "3"],
-            ["enumerate", "--length", "3"],
-            ["rank", "--word", "()"],
-            ["series", "--target", "nat", "--order", "3"],
-            ["symdiff", "--max", "3"],
-            ["verify", "--max", "3"],
-        ],
-    )
-    def test_no_command_loads_typing(self, argv):
-        assert "typing" not in loaded_after(f"from motzkin import cli\ncli.main({argv!r})")
-
-    # No CLI route forms a Fraction, so none loads fractions, nor the
-    # decimal module that fractions imports.
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["series", "--target", "motzkin", "--method", "functional", "--order", "3"],
-            ["series", "--target", "motzkin", "--method", "closed", "--order", "3"],
-            ["series", "--target", "nat", "--method", "product", "--order", "3"],
-            ["series", "--target", "nat", "--method", "linear", "--order", "3"],
-            ["symdiff", "--max", "3"],
-            ["verify", "--max", "3"],
-        ],
-    )
-    def test_exact_routes_load_no_fractions(self, argv):
-        assert not {"fractions", "decimal"} & loaded_after(f"from motzkin import cli\ncli.main({argv!r})")
-
-    # A plain command line is read without argparse, and so without the
-    # gettext and locale modules that argparse loads.
-    @pytest.mark.parametrize("argv", PLAIN_LINES, ids=[argv[0] for argv in PLAIN_LINES])
-    def test_plain_line_loads_no_argparse(self, argv):
-        assert not {"argparse", "gettext", "locale"} & loaded_after(f"from motzkin import cli\ncli.main({argv!r})")
-
-    def test_symdiff_loads_no_series(self):
-        assert "motzkin.series" not in loaded_after("from motzkin import cli\ncli.main(['symdiff', '--max', '3'])")
+    # A plain line is read without argparse, and so without the gettext
+    # and locale modules that argparse loads. No CLI route forms a
+    # Fraction, so none loads fractions, nor the decimal module that
+    # fractions imports.
+    @pytest.mark.parametrize("argv", STARTUP_LINES.values(), ids=STARTUP_LINES)
+    def test_line_loads_exactly_its_startup_row(self, argv):
+        loaded = loaded_after(f"from motzkin import cli\ncli.main({argv!r})")
+        assert {name for name in loaded if name.startswith("motzkin.")} == startup_table()[argv[0]]
+        assert not {"argparse", "gettext", "locale", "typing", "fractions", "decimal"} & loaded
 
     def test_coefficient_check_loads_fractions_itself(self):
         # A fresh process has not imported fractions before the check runs;
@@ -566,14 +557,10 @@ class TestStartup:
     @pytest.mark.parametrize("name", motzkin.__all__)
     def test_public_name_is_the_defining_module_object(self, name):
         # The defining module is the one named by the object itself, or
-        # for a plain value the one submodule that holds it.
-        submodules = [importlib.import_module(module) for module in sorted(PACKAGE_MODULES)]
-        holders = [module for module in submodules if name in vars(module)]
-        value = vars(holders[0])[name]
-        home = getattr(value, "__module__", None)
-        owner = sys.modules[home] if home else holders[0]
-        assert home or len(holders) == 1
-        assert getattr(motzkin, name) is vars(owner)[name]
+        # for a plain value the one the lazy-name table names.
+        value = getattr(motzkin, name)
+        home = getattr(value, "__module__", None) or f"motzkin.{motzkin._SUBMODULES.get(name, 'errors')}"
+        assert value is vars(importlib.import_module(home))[name]
 
     def test_star_import_binds_all_from_the_defining_modules(self):
         namespace = {}
