@@ -113,7 +113,7 @@ def _cmd_symdiff(args: SimpleNamespace) -> int:
 
 def verification_checks(max_n: int) -> Iterator[tuple[str, bool, str]]:
     """Yield (name, passed, detail) for the full cross-check matrix."""
-    from . import sequences, series, symdiff, words
+    from . import ranking, sequences, series, symdiff, words
 
     motzkin = sequences.motzkin_numbers(max_n)
     diff_sub = sequences.difference_numbers(max_n, "subtraction")
@@ -151,7 +151,7 @@ def verification_checks(max_n: int) -> Iterator[tuple[str, bool, str]]:
     previous = ""
     for n in range(1, roundtrip_max + 1):
         for word in words.enumerate_words(n, "unique"):
-            roundtrip_ok &= words.rank(word) == index and words.unrank(index) == word
+            roundtrip_ok &= ranking.rank(word) == index and ranking.unrank(index) == word
             signs = words.compare(previous, word), words.compare(word, previous), words.compare(word, word)
             order_ok &= signs == (-1, 1, 0)
             previous = word

@@ -18,7 +18,9 @@ def motzkin_numbers(n_max: int) -> list[int]:
 
     ``M_0 = M_1 = 1`` and ``(n+2) M_n = (2n+1) M_{n-1} + 3(n-1) M_{n-2}``.
     The n-th entry counts the Motzkin words of length n. Raises
-    InternalError if a division by ``n+2`` is not exact.
+    InternalError if a division by ``n+2`` is not exact. Proof: from
+    ``M_n = sum C(n,2k) C_k``, certificate ``G(k) = -4k(k+1)/n C(n,2k) C_k``
+    (``tests/test_certificates.py``).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")

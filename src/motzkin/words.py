@@ -23,19 +23,17 @@ whole listing. The enumeration never reads the completion-count table
 of ``motzkin.ranking``, and so stays an independent check of it and of
 the recurrences.
 
-``rank``, ``unrank``, ``completion_count`` and ``RANK_LIMIT`` are
-defined in ``motzkin.ranking`` and bound here as well, so callers reach
-both directions of the series through this module. The alphabet's three
-symbols and ``validate``, the word check that ``classify`` and
-``sort_key`` make, are defined there too and bound here; the listing
-reads nothing of that module but the three symbols.
+From ``motzkin.ranking`` this module binds two groups of names: the
+alphabet's three symbols and ``validate``, which the listing, ``classify``
+and ``sort_key`` read, and ``rank`` and ``unrank``, which the acceptance
+tests and the benchmark's lookup worker and tracer read through here.
 """
 
 import operator
 from collections.abc import Iterator
 
 from .errors import LimitExceededError
-from .ranking import CLOSE, OPEN, RANK_LIMIT, ZERO, completion_count, rank, unrank, validate  # noqa: F401
+from .ranking import CLOSE, OPEN, ZERO, rank, unrank, validate  # noqa: F401
 
 SYMBOLS = (ZERO, OPEN, CLOSE)  # ascending alphabet order
 _DELTA = {ZERO: 0, OPEN: 1, CLOSE: -1}

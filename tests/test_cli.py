@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import motzkin
-from motzkin import DegenerateFractionError, InternalError, cli, errors, sequences, series, symdiff, words
+from motzkin import DegenerateFractionError, InternalError, cli, errors, ranking, sequences, series, symdiff, words
 
 
 def run(capsys, *argv):
@@ -147,12 +147,12 @@ class TestRankUnrank:
         assert "NOT_UNIQUE" in err
 
     def test_rank_limit(self, capsys):
-        code, out, err = run(capsys, "rank", "--word", "(" + "0" * (words.RANK_LIMIT - 1) + ")")
+        code, out, err = run(capsys, "rank", "--word", "(" + "0" * (ranking.RANK_LIMIT - 1) + ")")
         assert (code, out) == (1, "")
         assert err.startswith("error: LIMIT_EXCEEDED: ") and err.count("\n") == 1
 
     def test_unrank_limit(self, capsys):
-        index = sequences.motzkin_numbers(words.RANK_LIMIT)[-1]
+        index = sequences.motzkin_numbers(ranking.RANK_LIMIT)[-1]
         code, out, err = run(capsys, "unrank", "--index", str(index))
         assert (code, out) == (1, "")
         assert err.startswith("error: LIMIT_EXCEEDED: ") and err.count("\n") == 1

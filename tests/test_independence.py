@@ -83,3 +83,10 @@ def test_listing_names_nothing_of_the_table_or_walks():
     assert {"RANK_LIMIT", "_COLUMNS", "_GROWING", "_grow", "completion_count", "_position", "rank", "unrank"} <= defined
     for function in (words.word_blocks, words._blocks, words.enumerate_words):
         assert not names_read(function.__code__) & (defined - ALPHABET), function.__name__
+
+
+def test_words_binds_from_ranking_only_the_alphabet_validate_and_the_walks():
+    # The walks' table and its bound are reached through ranking alone.
+    bound = {name for name in defined_in_ranking() if name in vars(words) and vars(words)[name] is vars(ranking)[name]}
+    assert bound == ALPHABET | {"validate", "rank", "unrank"}
+    assert not {"completion_count", "RANK_LIMIT"} & vars(words).keys()

@@ -59,7 +59,9 @@ def test_motzkin_modulo_three_deutsch_sagan(motzkin):
 
 def difference_recurrence(n_max):
     """U_0..U_n_max from U_0 = 0, U_1 = U_2 = 1, U_3 = 2 and, for n >= 4,
-    (n - 2)(n + 2) U_n = (2n - 1)(n - 1) U_(n-1) + 3(n - 1)(n - 2) U_(n-2)."""
+    (n - 2)(n + 2) U_n = (2n - 1)(n - 1) U_(n-1) + 3(n - 1)(n - 2) U_(n-2).
+    Proof: from the Catalan sum below, certificate
+    G(j) = -4(j - 1)(j + 1) C(n - 1, 2j - 1) C_j (test_certificates.py)."""
     values = [0, 1, 1, 2][: n_max + 1]
     for n in range(4, n_max + 1):
         total = (2 * n - 1) * (n - 1) * values[n - 1] + 3 * (n - 1) * (n - 2) * values[n - 2]

@@ -186,13 +186,13 @@ def inherited_short_word(monkeypatch):
 
 
 def wrong_rank_at_length_nine(monkeypatch):
-    original = words.rank
-    monkeypatch.setattr(words, "rank", lambda word: original(word) + (len(word) == 9))
+    original = ranking.rank
+    monkeypatch.setattr(ranking, "rank", lambda word: original(word) + (len(word) == 9))
 
 
 def wrong_unrank_at_index_100(monkeypatch):
-    original = words.unrank
-    monkeypatch.setattr(words, "unrank", lambda index: original(101 if index == 100 else index))
+    original = ranking.unrank
+    monkeypatch.setattr(ranking, "unrank", lambda index: original(101 if index == 100 else index))
 
 
 # mutant -> the lines that must FAIL, recorded from a run; None when the

@@ -312,14 +312,14 @@ class TestCompare:
 
 class TestCompletionCount:
     def test_motzkin_identity(self):
-        assert words.completion_count(0, 4) == 9
+        assert ranking.completion_count(0, 4) == 9
         motzkin = sequences.motzkin_numbers(300)
-        assert [words.completion_count(0, n) for n in range(13)] == motzkin[:13]
+        assert [ranking.completion_count(0, n) for n in range(13)] == motzkin[:13]
         for n in (50, 137, 211, 300):
-            assert words.completion_count(0, n) == motzkin[n]
+            assert ranking.completion_count(0, n) == motzkin[n]
 
     def test_single_close(self):
-        assert words.completion_count(1, 1) == 1
+        assert ranking.completion_count(1, 1) == 1
 
     def test_brute_force(self, monkeypatch):
         # Oracle: walk every suffix of each length once; a suffix finishes
@@ -332,19 +332,19 @@ class TestCompletionCount:
                 finishing[-sum(suffix), -min(accumulate(suffix, initial=0))] += 1
             for depth in range(13 - remaining):
                 expected = sum(count for (end, low), count in finishing.items() if end == depth and low <= depth)
-                assert words.completion_count(depth, remaining) == expected
+                assert ranking.completion_count(depth, remaining) == expected
 
     def test_unreachable_depth(self, monkeypatch):
         # A depth above the symbols left counts 0 at any size, and builds
         # nothing.
         monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
-        for depth, remaining in [(5, 3), (1, 0), (words.RANK_LIMIT + 1, words.RANK_LIMIT), (10**6, 2)]:
-            assert words.completion_count(depth, remaining) == 0
+        for depth, remaining in [(5, 3), (1, 0), (ranking.RANK_LIMIT + 1, ranking.RANK_LIMIT), (10**6, 2)]:
+            assert ranking.completion_count(depth, remaining) == 0
         assert ranking._COLUMNS == cold_table()
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            words.completion_count(-1, 3)
+            ranking.completion_count(-1, 3)
 
     @pytest.mark.parametrize("depth, remaining", [(2.5, 1), (5.0, 1.0), (1.0, 5.0), (0, 4.0)])
     def test_rejects_a_float(self, depth, remaining, monkeypatch):
@@ -352,19 +352,19 @@ class TestCompletionCount:
         # sequences; none may build anything.
         monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-            words.completion_count(depth, remaining)
+            ranking.completion_count(depth, remaining)
         assert ranking._COLUMNS == cold_table()
 
     def test_limit(self):
         # A state at depth h with r symbols left lies on a word of at least
         # h + r symbols, so h + r is bounded, not r alone.
-        rows = reference_rows(words.RANK_LIMIT)
+        rows = reference_rows(ranking.RANK_LIMIT)
         for depth in (0, 1, 2, 333, 499, 500):
-            remaining = words.RANK_LIMIT - depth
-            assert words.completion_count(depth, remaining) == rows[remaining][depth]
+            remaining = ranking.RANK_LIMIT - depth
+            assert ranking.completion_count(depth, remaining) == rows[remaining][depth]
             with pytest.raises(LimitExceededError) as caught:
-                words.completion_count(depth, remaining + 1)
-            assert str(caught.value) == f"length {words.RANK_LIMIT + 1} exceeds the rank bound {words.RANK_LIMIT}"
+                ranking.completion_count(depth, remaining + 1)
+            assert str(caught.value) == f"length {ranking.RANK_LIMIT + 1} exceeds the rank bound {ranking.RANK_LIMIT}"
 
 
 class TestEnumerate:
@@ -479,7 +479,7 @@ class TestRank:
         monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         rows = reference_rows(8)
         if table == "warm":
-            words.completion_count(0, 8)
+            ranking.completion_count(0, 8)
         for n in range(9):
             for symbols in product("0()x", repeat=n):
                 word = "".join(symbols)
@@ -515,10 +515,10 @@ class TestRank:
     def test_closing_runs_match_the_reference_walk(self):
         # In each of these words a ')' runs at one more depth than the
         # symbols left after it, where its '(' block is a pad zero.
-        rows = reference_rows(words.RANK_LIMIT)
+        rows = reference_rows(ranking.RANK_LIMIT)
         for k in range(1, 501):
             for word in ("(" * k + ")" * k, "(" * k + "0" + ")" * k, "(" + "0" * k + ")"):
-                if len(word) > words.RANK_LIMIT:
+                if len(word) > ranking.RANK_LIMIT:
                     with pytest.raises(LimitExceededError):
                         words.rank(word)
                 else:
@@ -530,7 +530,7 @@ class TestRank:
         word = "(" * 300 + "00" + ")" * 299
         monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         if table == "warm":
-            words.completion_count(0, len(word))
+            ranking.completion_count(0, len(word))
         with pytest.raises(NotUniqueError) as caught:
             words.rank(word)
         assert str(caught.value) == f"not a Motzkin word: 1 unmatched '(' in {word!r}"
@@ -563,7 +563,7 @@ class TestUnrank:
         # A warm table once answered 8.9 with the word at index 8.
         monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         if table == "warm":
-            words.completion_count(0, 4)
+            ranking.completion_count(0, 4)
         with pytest.raises(TypeError):
             words.unrank(8.9)
         if table == "cold":
@@ -621,36 +621,36 @@ print(json.dumps({"result": result, "seconds": seconds, "peak_mb": peak}))
 """
 
 # The deepest word at the bound, which reads every depth of the table.
-DEEPEST_WORD = "(" * (words.RANK_LIMIT // 2) + ")" * (words.RANK_LIMIT // 2)
+DEEPEST_WORD = "(" * (ranking.RANK_LIMIT // 2) + ")" * (ranking.RANK_LIMIT // 2)
 
 
 class TestRankLimit:
     def test_rank_rejects_long_word(self):
         with pytest.raises(LimitExceededError):
-            words.rank("(" + "0" * (words.RANK_LIMIT - 1) + ")")
+            words.rank("(" + "0" * (ranking.RANK_LIMIT - 1) + ")")
 
     def test_rank_validates_before_the_limit(self):
         with pytest.raises(NotUniqueError):
-            words.rank("0" * (words.RANK_LIMIT + 1))
+            words.rank("0" * (ranking.RANK_LIMIT + 1))
         with pytest.raises(NotUniqueError):
-            words.rank("(" * (words.RANK_LIMIT + 1))
+            words.rank("(" * (ranking.RANK_LIMIT + 1))
 
     def test_unrank_stops_at_the_limit_block(self):
-        motzkin = sequences.motzkin_numbers(words.RANK_LIMIT)
+        motzkin = sequences.motzkin_numbers(ranking.RANK_LIMIT)
         with pytest.raises(LimitExceededError):
             words.unrank(motzkin[-1])
         with pytest.raises(LimitExceededError):
             words.unrank(10**3000)
         last = words.unrank(motzkin[-1] - 1)
-        assert len(ranking._COLUMNS[0]) == words.RANK_LIMIT + 1
-        assert len(last) == words.RANK_LIMIT
+        assert len(ranking._COLUMNS[0]) == ranking.RANK_LIMIT + 1
+        assert len(last) == ranking.RANK_LIMIT
         assert words.rank(last) == motzkin[-1] - 1
 
     def test_unrank_refuses_far_indexes_without_building(self):
         # Every index of M_RANK_LIMIT or more is refused without growing the
         # table.
-        first_refused = sequences.motzkin_numbers(words.RANK_LIMIT)[-1]
-        report = run_fresh(FAR_INDEX_PROBE, "", [10**3000, 3**words.RANK_LIMIT, first_refused])
+        first_refused = sequences.motzkin_numbers(ranking.RANK_LIMIT)[-1]
+        report = run_fresh(FAR_INDEX_PROBE, "", [10**3000, 3**ranking.RANK_LIMIT, first_refused])
         message = "length 1001 exceeds the rank bound 1000"
         assert report == {"messages": [message] * 3, "columns": cold_table()}
 
@@ -659,16 +659,16 @@ class TestRankLimit:
         # The last index below the bound builds the table to length 1000:
         # 84.3 MB of process with whole rows, about 46 MB with the rows cut
         # to what a walk can read.
-        last = sequences.motzkin_numbers(words.RANK_LIMIT)[-1] - 1
+        last = sequences.motzkin_numbers(ranking.RANK_LIMIT)[-1] - 1
         assert run_fresh(PEAK_PROBE, "unrank", last)["peak_mb"] < 60
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_unrank_of_the_last_index_peaks_below_20_mb(self):
         # M_1000 - 1 is "()()...()", which reads depth 2 at most, so its
         # table holds three counts a row.
-        last = sequences.motzkin_numbers(words.RANK_LIMIT)[-1] - 1
+        last = sequences.motzkin_numbers(ranking.RANK_LIMIT)[-1] - 1
         report = run_fresh(PEAK_PROBE, "unrank", last)
-        assert report["result"] == "()" * (words.RANK_LIMIT // 2)
+        assert report["result"] == "()" * (ranking.RANK_LIMIT // 2)
         assert report["peak_mb"] < 20
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
@@ -723,7 +723,7 @@ print(json.dumps({
     "results": results,
     "columns": ranking._COLUMNS,
     "depth": len(ranking._COLUMNS) - 1,
-    "counts_ok": [words.completion_count(0, n) for n in range(top + 1)] == sequences.motzkin_numbers(top),
+    "counts_ok": [ranking.completion_count(0, n) for n in range(top + 1)] == sequences.motzkin_numbers(top),
 }))
 """
 
@@ -839,7 +839,7 @@ class TestSharedTable:
         # motzkin_numbers call that starts each new length; the upward
         # running sum took 0.16-0.24 s, whole rows 0.24-0.31 s, and a
         # table that copied each row to extend it 1.1-1.5 s.
-        assert run_fresh(ASCENDING_PROBE, str(words.RANK_LIMIT), None) < 1
+        assert run_fresh(ASCENDING_PROBE, str(ranking.RANK_LIMIT), None) < 1
 
     def test_batch_calls_reuse_the_table(self):
         # Rebuilding the O(n^2) table on every call took about 2 s for this
