@@ -39,11 +39,13 @@ that enforces RANK_LIMIT: a length above it raises LimitExceededError
 before anything is built.
 
 ``rank`` has one path: walk, and on a refusal check, grow and walk
-again. The walk checks the word as it ranks it, under one rule: '0' and
-'(' must leave no more open than the rest can close, and ')' must close
-an open '('. So a walk that reaches the end is at depth 0. It refuses a
-symbol outside the alphabet or one that breaks the rule, a word longer
-than the table, and a read past the depth bound. Only then is the word
+again. The walk checks the word as it ranks it, under one rule, the one
+``validate`` enforces: every symbol is in the alphabet, ')' closes an
+open '(', and the word ends at depth 0. Beside the words that break the
+rule it refuses what the table cannot reach: a word longer than the
+table and a read past the depth bound. The length check stays because
+on a warm table it is the only guard of RANK_LIMIT: a word one symbol
+longer than the table would walk inside it. Only then is the word
 checked, once: ``validate`` names any fault, and a valid word that is
 not "0" and does not start with '(' has no position. A unique word grows
 the table once, to its length and its deepest depth plus one, and is
@@ -180,20 +182,19 @@ def _position(word: str, columns: list[list[int]]) -> int | None:
     all words of its length, or None when the walk cannot finish.
 
     At each step, skip the blocks of the smaller symbols. The same walk
-    checks the word: '0' and '(' must leave no more open than the rest can
-    close, and ')' must close an open '('. So a walk that reaches the end
-    is at depth 0, and every block read lies in its column, pad zeros
-    included, when the column is there. The walk refuses a symbol outside
-    the alphabet or one that breaks the rule, a word longer than the table
-    and a read past the depth bound."""
+    checks the word under ``validate``'s rule: every symbol is in the
+    alphabet, ')' closes an open '(', and the word ends at depth 0. The
+    depth never exceeds the symbols read, so in a word no longer than the
+    table every block read lies in its column, pad zeros included, when
+    the column is there. The walk refuses a word that breaks the rule, a
+    word longer than the table and a read past the depth bound. The length
+    check is the only guard of RANK_LIMIT on a warm table."""
     if len(word) >= len(columns[0]):
         return None
     position = depth = 0
     try:
         for remaining, symbol in zip(range(len(word) - 1, -1, -1), word):
             if symbol == OPEN:
-                if depth >= remaining:
-                    return None
                 position += columns[depth][remaining]
                 depth += 1
             elif symbol == CLOSE:
@@ -201,11 +202,11 @@ def _position(word: str, columns: list[list[int]]) -> int | None:
                     return None
                 position += columns[depth][remaining] + columns[depth + 1][remaining]
                 depth -= 1
-            elif symbol != ZERO or depth > remaining:
+            elif symbol != ZERO:
                 return None
     except IndexError:
         return None
-    return position
+    return None if depth else position
 
 
 def rank(word: str) -> int:

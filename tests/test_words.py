@@ -472,14 +472,19 @@ class TestRank:
         assert type(caught.value) is error
         assert str(caught.value) == message
 
-    @pytest.mark.parametrize("table", ["cold", "warm"])
+    @pytest.mark.parametrize("table", ["cold", "warm", "deep"])
     def test_matches_the_checked_walk_on_every_short_string(self, table, monkeypatch):
         # Every string over "0()x" of length <= 8, against classify and
         # then the block-sum walk; a cold table starts each call at length 0.
+        # A deep table covers every depth these words reach, so no read
+        # past it hides an open end: the end depth alone refuses "((".
         monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         rows = reference_rows(8)
         if table == "warm":
             ranking.completion_count(0, 8)
+        if table == "deep":
+            ranking._grow(8, 9)
+        before = ranking._COLUMNS
         for n in range(9):
             for symbols in product("0()x", repeat=n):
                 word = "".join(symbols)
@@ -492,6 +497,8 @@ class TestRank:
                     assert (type(exc), str(exc)) == expected
                     if table == "cold":
                         assert ranking._COLUMNS == cold_table()
+                    if table == "deep":
+                        assert ranking._COLUMNS is before
 
     @pytest.mark.parametrize("word, calls", [("((()))", [(6, 4)]), ("(0)", [(3, 2)])])
     def test_cold_rank_grows_the_table_once(self, word, calls, monkeypatch):
@@ -524,21 +531,33 @@ class TestRank:
                 else:
                     assert words.rank(word) == reference_rank(word, rows)
 
-    @pytest.mark.parametrize("table", ["cold", "warm"])
+    @pytest.mark.parametrize("table", ["cold", "warm", "deep"])
     def test_unclosable_zero_is_refused(self, table, monkeypatch):
         # The second '0' leaves 300 open with 299 symbols left.
         word = "(" * 300 + "00" + ")" * 299
         monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         if table == "warm":
             ranking.completion_count(0, len(word))
+        if table == "deep":
+            words.rank("(" * 300 + ")" * 300)
+        before = ranking._COLUMNS
         with pytest.raises(NotUniqueError) as caught:
             words.rank(word)
         assert str(caught.value) == f"not a Motzkin word: 1 unmatched '(' in {word!r}"
         if table == "cold":
             assert ranking._COLUMNS == cold_table()
-        else:
+        elif table == "warm":
             # The walk read past depth 0, but the word builds no column.
             assert len(ranking._COLUMNS) == 1
+        else:
+            # These fit the table's length and depth, so the walk reaches
+            # the end and only the open end refuses them.
+            for opened, unmatched in (("0" * 300, 300), ("0" * 299 + ")", 299)):
+                word = "(" * 300 + opened
+                with pytest.raises(NotUniqueError) as caught:
+                    words.rank(word)
+                assert str(caught.value) == f"not a Motzkin word: {unmatched} unmatched '(' in {word!r}"
+            assert ranking._COLUMNS is before
 
 
 class TestUnrank:
