@@ -167,7 +167,7 @@ def completion_count(depth: int, remaining: int) -> int:
     ``depth + remaining`` symbols: LimitExceededError is raised when that
     is above RANK_LIMIT, and else the table grows to that length and to
     ``depth`` if it must. Raises TypeError for an argument that is not an
-    integer.
+    integer, and ValueError for a negative depth or remaining.
     """
     depth, remaining = operator.index(depth), operator.index(remaining)
     if depth < 0 or remaining < 0:
@@ -238,9 +238,10 @@ def rank(word: str) -> int:
 def unrank(index: int) -> str:
     """The unique word at ``index``; inverse of ``rank``.
 
-    Raises TypeError for an index that is not an integer, and
-    LimitExceededError when the word would be longer than RANK_LIMIT,
-    that is for an index at or beyond M_RANK_LIMIT.
+    Raises TypeError for an index that is not an integer, ValueError for
+    a negative index, and LimitExceededError when the word would be
+    longer than RANK_LIMIT, that is for an index at or beyond
+    M_RANK_LIMIT.
     """
     index = operator.index(index)
     if index < 0:

@@ -44,12 +44,14 @@ def defined_in_ranking():
 
 
 # On a cold table, ranks a valid word longer than the table, an inherited
-# word and a malformed word, and unranks one index, through the package's
-# lazy names; prints each result or error message and the modules loaded.
+# word, a malformed word, the deepest word of length 600 and a word of that
+# length that ends open on the table it grew, and unranks one index,
+# through the package's lazy names; prints each result or error message
+# and the modules loaded.
 COLD_CALLS = """
 import json, sys, motzkin
 results = []
-for word in ["(0)", "0()", "())("]:
+for word in ["(0)", "0()", "())(", "(" * 300 + ")" * 300, "(" * 300 + "0" * 300]:
     try:
         results.append(motzkin.rank(word))
     except motzkin.NotUniqueError as exc:
@@ -72,6 +74,8 @@ def test_ranking_loads_no_listing():
         2,
         "'0()' has no position in the series",
         "not a Motzkin word: prefix '())' closes below depth zero",
+        ranking.rank("(" * 300 + ")" * 300),
+        f"not a Motzkin word: 300 unmatched '(' in {'(' * 300 + '0' * 300!r}",
         "(())",
     ]
     assert "motzkin.ranking" in report["modules"]
