@@ -515,10 +515,13 @@ STARTUP_LINES = {argv[0]: argv for argv in PLAIN_LINES} | {
 
 class TestStartup:
     # Every CLI call is a fresh process, so import weight is startup time.
+    def test_import_loads_no_dataclasses_or_inspect(self):
+        assert not {"dataclasses", "inspect"} & loaded_after("import motzkin")
+
     def test_import_loads_only_the_errors(self):
         loaded = loaded_after("import motzkin")
         assert {name for name in loaded if name.startswith("motzkin.")} == {"motzkin.errors"}
-        assert not {"fractions", "decimal", "typing", "dataclasses", "inspect"} & loaded
+        assert not {"fractions", "decimal", "typing"} & loaded
 
     # Each line loads exactly its row of the README's startup table, and
     # not argparse (nor the gettext and locale it loads), typing, or the
