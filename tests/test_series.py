@@ -14,6 +14,12 @@ def S(values, order=None):
 
 
 class TestRingOperations:
+    def test_add(self):
+        assert S([1, 1]) + S([-1, 1]) == S([0, 2])
+
+    def test_mul_monomials(self):
+        assert S([0, 1, 0]) * S([0, 1, 0]) == S([0, 0, 1])
+
     def test_min_order_semantics(self):
         total = S([1, 2, 3, 4]) + S([1, 1])
         assert total.order == 1
@@ -25,6 +31,10 @@ class TestRingOperations:
         assert square.integer_coefficients() == [1, 2, 5, 12, 30]
         # Coefficient n of M^2 is the difference number at n + 2.
         assert square.integer_coefficients() == sequences.difference_numbers(6)[2:]
+
+    def test_getitem(self):
+        m = S([1, 2, 3])
+        assert m[2] == 3
 
     def test_equal_series_hash_equal(self):
         first, second = S([1, Fraction(1, 2)]), S([Fraction(2, 2), Fraction(1, 2)])
