@@ -169,7 +169,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     return 2 if failed else 0
 
 
-_BFILE = {"action": "store_true", "help": "print 'n value' pairs (b-file format)"}
+_BFILE = {"action": "store_true", "default": False, "help": "print 'n value' pairs (b-file format)"}
 
 # Subcommand -> (handler, help, flags), in the order --help lists them.
 # Each flag maps to the keyword arguments of ``add_argument``; the plain
@@ -279,7 +279,7 @@ def _plain_fields(argv: list[str]) -> dict | None:
         if dest not in fields:
             if spec.get("required"):
                 return None
-            fields[dest] = spec.get("default", False if spec.get("action") == "store_true" else None)
+            fields[dest] = spec.get("default")
     return fields
 
 
@@ -312,13 +312,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (MotzkinError, ValueError) as exc:
-        code = getattr(exc, "code", "USAGE")
-        print(f"error: {code}: {exc}", file=sys.stderr)
-        return 1
-    except InternalError as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return 3
+    except (MotzkinError, ValueError, InternalError) as exc:
+        print(f"error: {getattr(exc, 'code', 'USAGE')}: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, InternalError) else 1
     finally:
         if lift:
             sys.set_int_max_str_digits(digit_limit)

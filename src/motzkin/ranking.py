@@ -25,35 +25,38 @@ h > r, a count that would close more than the symbols left can, is
 stored as the 0 it must be. A walk of length n stands at depth
 h <= n - 1 - r when r symbols follow and reads depths h and h + 1, so
 the table keeps only the region r + h <= N, and only the depths up to
-its depth bound D = len(columns) - 1, the deepest h + 1 that any walk
-has read so far. D is not an option: ``rank`` deepens the table once
-for a word it has checked, to the word's deepest depth plus one, and
-``unrank`` one column at a time as its walk reaches it. Random words of
-length n reach depths of order sqrt(n), so a table of length N holds
-about N * D counts: 24 random words of length 400 left 17411 counts in
-1.2 MB (tracemalloc), where every depth takes 60701 counts in 3.0 MB.
+its depth bound D = len(columns) - 1. Three rules hold the table, and
+each is stated here only:
 
-``_grow`` is the one routine that builds the table, down from the
-Motzkin numbers, and its docstring states how. It is also the one place
-that enforces RANK_LIMIT: a length above it raises LimitExceededError
-before anything is built.
+- D is the deepest h + 1 that any walk has read, and at least 1: the
+  table starts at length 0 with columns 0 and 1, which both walks read
+  from their first step. D is not an option: ``rank`` deepens the table
+  once for a word it has checked, to the word's deepest depth plus one,
+  and ``unrank`` one column at a time as its walk reaches it.
+- A malformed word builds no length or depth: the table is built once
+  per process and only grows, and only for a word already checked.
+- ``_grow``, the one routine that builds the table, is the only check of
+  RANK_LIMIT. On a warm table the rank walk's length check guards it:
+  without it, a word one symbol longer than the table would walk inside
+  it and never reach ``_grow``.
+
+Random words of length n reach depths of order sqrt(n), so a table of
+length N holds about N * D counts: 24 random words of length 400 left
+17411 counts in 1.2 MB (tracemalloc), where every depth takes 60701
+counts in 3.0 MB.
 
 ``rank`` has one path: walk, and on a refusal check, grow and walk
 again. The walk checks the word as it ranks it, under one rule, the one
 ``validate`` enforces: every symbol is in the alphabet, ')' closes an
 open '(', and the word ends at depth 0. Beside the words that break the
 rule it refuses what the table cannot reach: a word longer than the
-table and a read past the depth bound. The length check stays because
-on a warm table it is the only guard of RANK_LIMIT: a word one symbol
-longer than the table would walk inside it. Only then is the word
-checked, once: ``validate`` names any fault, and a valid word that is
-not "0" and does not start with '(' has no position. A unique word grows
-the table once, to its length and its deepest depth plus one, and is
-walked again. The table is built once per process and only grows, and
-only for a word already checked, so a malformed word builds no length
-or depth. ``unrank`` finds the length of an index among the Motzkin
-numbers up to M_RANK_LIMIT, so an index of M_RANK_LIMIT or more asks
-for length RANK_LIMIT + 1 and is refused before anything is built.
+table and a read past the depth bound. Only then is the word checked,
+once: ``validate`` names any fault, and a valid word that is not "0"
+and does not start with '(' has no position. A unique word grows the
+table once, to its length and its deepest depth plus one, and is walked
+again. ``unrank`` finds the length of an index among the Motzkin numbers
+up to M_RANK_LIMIT, so an index of M_RANK_LIMIT or more asks for length
+RANK_LIMIT + 1 and is refused before anything is built.
 
 ``validate`` is defined here beside the alphabet it checks, and
 ``motzkin.words`` binds both, so this module imports nothing of the
@@ -106,10 +109,11 @@ def validate(text: str) -> str:
 RANK_LIMIT = 1000
 
 # The completion table up to length N = len(_COLUMNS[0]) - 1 and depth
-# bound D = len(_COLUMNS) - 1, shared by every call. Only _grow rebinds it,
-# to a whole new table, and no published table changes, so a reader's
-# snapshot is always a whole table and readers need no lock.
-_COLUMNS: list[list[int]] = [[1]]
+# bound D = len(_COLUMNS) - 1, shared by every call; it starts at length 0
+# with D = 1. Only _grow rebinds it, to a whole new table, and no published
+# table changes, so a reader's snapshot is always a whole table and
+# readers need no lock.
+_COLUMNS: list[list[int]] = [[1], []]
 _GROWING = threading.Lock()
 
 
@@ -182,13 +186,11 @@ def _position(word: str, columns: list[list[int]]) -> int | None:
     all words of its length, or None when the walk cannot finish.
 
     At each step, skip the blocks of the smaller symbols. The same walk
-    checks the word under ``validate``'s rule: every symbol is in the
-    alphabet, ')' closes an open '(', and the word ends at depth 0. The
-    depth never exceeds the symbols read, so in a word no longer than the
-    table every block read lies in its column, pad zeros included, when
-    the column is there. The walk refuses a word that breaks the rule, a
-    word longer than the table and a read past the depth bound. The length
-    check is the only guard of RANK_LIMIT on a warm table."""
+    checks the word under ``validate``'s rule. The depth never exceeds the
+    symbols read, so in a word no longer than the table every block read
+    lies in its column, pad zeros included, when the column is there. The
+    walk refuses a word that breaks the rule, a word longer than the table
+    and a read past the depth bound."""
     if len(word) >= len(columns[0]):
         return None
     position = depth = 0
@@ -219,9 +221,6 @@ def rank(word: str) -> int:
     unique = word == ZERO or word[:1] == OPEN
     position = _position(word, _COLUMNS) if unique else None
     if position is None:
-        # Only a checked word may grow the table: a malformed word builds
-        # no length or depth, and its fault is reported before a length
-        # above RANK_LIMIT.
         try:
             validate(word)
         except MotzkinWordError as exc:
@@ -249,22 +248,18 @@ def unrank(index: int) -> str:
 
     # Indexes below completion_count(0, n) = M_n have length <= n. The
     # table grows to the length of an index it does not cover, found among
-    # M_0..M_(b+1) for an index of b bits, since M_n >= 2^(n-1), and to
-    # depth 1, which the walk holds from its first step. Among
-    # M_0..M_RANK_LIMIT, an index of M_RANK_LIMIT or more finds length
-    # RANK_LIMIT + 1, which _grow refuses before it builds anything.
+    # M_0..M_(b+1) for an index of b bits, since M_n >= 2^(n-1).
     columns = _COLUMNS
-    if columns[0][-1] <= index or len(columns) < 2:
+    if columns[0][-1] <= index:
         motzkin = sequences.motzkin_numbers(min(index.bit_length() + 1, RANK_LIMIT))
-        columns = _grow(bisect_right(motzkin, index), 1)
+        columns = _grow(bisect_right(motzkin, index))
     n = bisect_right(columns[0], index, lo=1)
 
     # The series index is the lexicographic index among all n-words: at
     # each step, the offset falls in the '0' block of the column at the
     # current depth, the '(' block of the next column or, past both, the
     # ')' block. A block that no word can take reads 0, so the offset
-    # never falls in it. The walk holds both columns, and the table
-    # deepens when the walk enters the depth bound.
+    # never falls in it. The walk holds both columns.
     offset = index
     symbols = []
     depth = 0

@@ -45,7 +45,7 @@ def wrong_completion_row(monkeypatch):
     # Start the shared table cold, so the run builds every entry through
     # the mutant.
     original = ranking._grow
-    monkeypatch.setattr(ranking, "_COLUMNS", [[1]])
+    monkeypatch.setattr(ranking, "_COLUMNS", [[1], []])
 
     def grow(length, depth=0):
         built = len(ranking._COLUMNS[0])
@@ -67,7 +67,7 @@ def wrong_table_seed(monkeypatch):
     # the pad entry c(4, 3) reads 2.
     original = ranking._grow
     numbers = sequences.motzkin_numbers
-    monkeypatch.setattr(ranking, "_COLUMNS", [[1]])
+    monkeypatch.setattr(ranking, "_COLUMNS", [[1], []])
 
     def grow(length, depth=0):
         with monkeypatch.context() as table_only:

@@ -95,7 +95,7 @@ def reference_rows(n):
 
 def cold_table():
     """A new completion table at length 0, as a fresh process holds it."""
-    return [[1]]
+    return [[1], []]
 
 
 def table_layout(top, depth):
@@ -293,10 +293,12 @@ class TestCompletionCount:
 
     def test_unreachable_depth(self, monkeypatch):
         # A depth above the symbols left counts 0 at any size, and builds
-        # nothing.
+        # nothing. Nor does a read that the cold table already holds.
         monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         for depth, remaining in [(5, 3), (1, 0), (ranking.RANK_LIMIT + 1, ranking.RANK_LIMIT), (10**6, 2)]:
             assert ranking.completion_count(depth, remaining) == 0
+        assert ranking._COLUMNS == cold_table()
+        assert (ranking.completion_count(0, 0), ranking.unrank(0)) == (1, "0")
         assert ranking._COLUMNS == cold_table()
 
     def test_rejects_negative(self):
@@ -468,8 +470,8 @@ class TestRank:
         if table == "cold":
             assert ranking._COLUMNS == cold_table()
         elif table == "warm":
-            # The walk read past depth 0, but the word builds no column.
-            assert len(ranking._COLUMNS) == 1
+            # The walk read past depth 1, but the word builds no column.
+            assert len(ranking._COLUMNS) == 2
         else:
             # These fit the table's length and depth, so the walk reaches
             # the end and only the open end refuses them.
@@ -699,7 +701,7 @@ class TestSharedTable:
         monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         top, depth = 60, 20
         if order == "length-first":
-            steps = [(top, 0), (top, depth)]
+            steps = [(top, 1), (top, depth)]
         elif order == "depth-first":
             steps = [(2 * h, h) for h in range(1, depth + 1)] + [(top, depth)]
         else:
