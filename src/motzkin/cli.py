@@ -15,8 +15,8 @@ plain command line, a subcommand and then each of its flags spelled in
 full at most once with a valid value, straight from that table, without
 loading argparse. Any other line (help, an abbreviation, ``--flag=value``,
 a repeat, a bad value or a missing flag) goes to ``build_parser``, the
-argparse tree built from the same table, so help and usage errors read
-as they always have. ``main`` returns the exit status; ``run``, the
+argparse tree built from the same table, so help and usage errors are
+argparse's own. ``main`` returns the exit status; ``run``, the
 entry point of the ``motzkin`` script and of ``python -m motzkin.cli``,
 then runs the ``atexit`` handlers, flushes both streams and ends the
 process with ``os._exit``, skipping the interpreter's teardown.
@@ -248,7 +248,7 @@ def _plain_fields(argv: list[str]) -> dict | None:
     of the right type and among the choices, with no required flag
     missing. Anything else, such as help, an abbreviation, a
     ``--flag=value`` or a repeated flag, is declined, so that argparse
-    handles and reports it as before.
+    handles and reports it.
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
@@ -297,10 +297,8 @@ def main(argv: list[str] | None = None) -> int:
     # interpreter's default int-to-str limit. Lift it for the handler
     # only: --index above was parsed under it, and in-process callers
     # get theirs back.
-    lift = hasattr(sys, "set_int_max_str_digits")
-    if lift:
-        digit_limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         status = handler(SimpleNamespace(**fields))
         sys.stdout.flush()
@@ -316,8 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {getattr(exc, 'code', 'USAGE')}: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, InternalError) else 1
     finally:
-        if lift:
-            sys.set_int_max_str_digits(digit_limit)
+        sys.set_int_max_str_digits(digit_limit)
 
 
 def run() -> None:
@@ -327,7 +324,7 @@ def run() -> None:
     stderr and ends the process with ``os._exit``, skipping the
     interpreter's teardown of every module, which a short-lived process
     does not need. If a flush fails, the process exits through
-    ``sys.exit`` instead, as it did before, so the interpreter reports it.
+    ``sys.exit`` instead, so the interpreter reports it.
     """
     status = main()
     atexit._run_exitfuncs()

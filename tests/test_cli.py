@@ -437,12 +437,19 @@ class TestExitPath:
 class TestLargeIntegers:
     def test_prints_beyond_the_digit_limit(self, capsys, monkeypatch):
         monkeypatch.setattr(sequences, "motzkin_numbers", lambda max_n: [10**5000])
-        # Interpreters older than the digit limit have no getter.
-        digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
-        before = digit_limit()
+        before = sys.get_int_max_str_digits()
         code, out, err = run(capsys, "numbers", "--max", "0")
         assert (code, out, err) == (0, "1" + "0" * 5000 + "\n", "")
-        assert digit_limit() == before
+        assert sys.get_int_max_str_digits() == before
+        # A handler that fails gives back the caller's own limit too.
+        sys.set_int_max_str_digits(5000)
+        try:
+            code, out, err = run(capsys, "rank", "--word", "((")
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: NOT_UNIQUE: ")
 
     def test_index_parsing_keeps_the_digit_limit(self, capsys):
         code, out, err = run(capsys, "unrank", "--index", "9" * 5000)

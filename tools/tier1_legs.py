@@ -1,20 +1,17 @@
-"""Run tier-1 on every Python 3.12+ that pyenv holds, without installing anything.
+"""Run tier-1 on every CI Python that pyenv holds, without installing anything.
 
-CI runs tier-1 on 3.10 to 3.13. Locally the newer pyenv interpreters
-have no pytest, but the pure-Python test packages of the interpreter
-that runs this script load on them. So this script links those packages
-into a temporary directory outside the repository, puts it on
-``PYTHONPATH`` after ``src``, and runs two legs on each interpreter
-found under ``~/.pyenv/versions/3.1[2-9]*``: tier-1, and tier-1 with
-``-X dev -W error``. It prints one line per leg and exits 1 if any leg
-fails, 2 if no interpreter or package is found.
+CI runs tier-1 on 3.11 to 3.13. Locally pytest may be installed for
+one pyenv interpreter only, but the pure-Python test packages of the
+interpreter that runs this script load on the others. So this script
+links those packages into a temporary directory outside the repository,
+puts it on ``PYTHONPATH`` after ``src``, and runs two legs on each
+interpreter found under ``~/.pyenv/versions/3.1[1-9]*``: tier-1, and
+tier-1 with ``-X dev -W error``. It prints one line per leg and exits 1
+if any leg fails, 2 if no interpreter or package is found.
 
 Run it from any directory with the interpreter that has pytest:
 
     python tools/tier1_legs.py
-
-3.10 cannot run this way: pytest 9 needs ``exceptiongroup`` there,
-which the 3.11 packages do not include.
 """
 
 import os
@@ -52,10 +49,10 @@ LEGS = {
 
 
 def main() -> int:
-    interpreters = sorted(Path.home().glob(".pyenv/versions/3.1[2-9]*/bin/python"))
+    interpreters = sorted(Path.home().glob(".pyenv/versions/3.1[1-9]*/bin/python"))
     spec = find_spec("pytest")
     if not interpreters or spec is None:
-        print("no Python 3.12+ under ~/.pyenv/versions, or no pytest beside this interpreter")
+        print("no Python 3.11+ under ~/.pyenv/versions, or no pytest beside this interpreter")
         return 2
     site = Path(spec.origin).parent.parent
     failed = False
