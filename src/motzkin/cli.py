@@ -30,11 +30,6 @@ from types import SimpleNamespace
 
 from .errors import InternalError, MotzkinError
 
-# Above this length the verify census would enumerate millions of words;
-# checks that need exhaustive listings are capped here.
-CENSUS_LIMIT = 14
-ROUNDTRIP_LIMIT = 10
-
 # CLI flag -> library method, per target; each target's first flag is
 # its default.
 _SERIES_METHODS = {
@@ -111,54 +106,12 @@ def _cmd_symdiff(args: SimpleNamespace) -> int:
     return 0
 
 
+# The matrix lives in ``motzkin.verify``, which only this subcommand
+# loads; the benchmark's tracer wraps this name.
 def verification_checks(max_n: int) -> Iterator[tuple[str, bool, str]]:
-    """Yield (name, passed, detail) for the full cross-check matrix."""
-    from . import ranking, sequences, series, symdiff, words
+    from . import verify
 
-    motzkin = sequences.motzkin_numbers(max_n)
-    diff_sub = sequences.difference_numbers(max_n, "subtraction")
-    diff_conv = sequences.difference_numbers(max_n, "convolution")
-    functional = series.motzkin_series(max_n, "functional").integer_coefficients()
-    closed = series.motzkin_series(max_n, "closed_form").integer_coefficients()
-    nat_product = series.nat_series(max_n, "product").integer_coefficients()
-    nat_linear = series.nat_series(max_n, "linear").integer_coefficients()
-    cycle = symdiff.nat_coefficients(max_n)
-
-    span = f"n <= {max_n}"
-    yield "motzkin-recurrence-vs-functional-series", motzkin == functional, span
-    yield "motzkin-functional-vs-closed-form", functional == closed, span
-    yield "difference-subtraction-vs-convolution", diff_sub == diff_conv, span
-    yield "nat-product-vs-linear", nat_product == nat_linear, span
-    yield "nat-series-vs-difference-table", nat_product == diff_sub, span
-    yield "symdiff-vs-difference-table", cycle == diff_sub, span
-
-    # Word counts per filter at each of the census's `size` lengths,
-    # 0..min(max_n, CENSUS_LIMIT). No word shorter than 2 is inherited;
-    # at n >= 2 the inherited words are '0' and a word of length n - 1.
-    size = min(max_n, CENSUS_LIMIT) + 1
-    counts = {kind: [sum(map(len, words.word_blocks(n, kind))) for n in range(size)] for kind in words.FILTERS}
-    census_span = f"n <= {size - 1}"
-    yield "census-all-vs-motzkin-table", counts["all"] == motzkin[:size], census_span
-    yield "census-unique-vs-difference-table", counts["unique"] == diff_sub[:size], census_span
-    yield "census-inherited-vs-shifted-motzkin", counts["inherited"] == [0, 0, *motzkin[1:]][:size], census_span
-
-    roundtrip_max = min(max_n, ROUNDTRIP_LIMIT)
-    roundtrip_ok = order_ok = True
-    index = 0
-    # The empty word sorts before every word of length 1. Each pair is
-    # compared both ways and each word with itself, so a constant or
-    # one-sided compare fails the line.
-    previous = ""
-    for n in range(1, roundtrip_max + 1):
-        for word in words.enumerate_words(n, "unique"):
-            roundtrip_ok &= ranking.rank(word) == index and ranking.unrank(index) == word
-            signs = words.compare(previous, word), words.compare(word, previous), words.compare(word, word)
-            order_ok &= signs == (-1, 1, 0)
-            previous = word
-            index += 1
-    roundtrip_span = f"lengths <= {roundtrip_max}, {index} words"
-    yield "rank-unrank-roundtrip", roundtrip_ok, roundtrip_span
-    yield "unrank-order-coherence", order_ok, roundtrip_span
+    yield from verify.verification_checks(max_n)
 
 
 def _cmd_verify(args: SimpleNamespace) -> int:
@@ -171,9 +124,10 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 
 _BFILE = {"action": "store_true", "default": False, "help": "print 'n value' pairs (b-file format)"}
 
-# Subcommand -> (handler, help, flags), in the order --help lists them.
-# Each flag maps to the keyword arguments of ``add_argument``; the plain
-# parser reads the same table, so the two cannot disagree on a flag.
+# Subcommand -> (handler, help, flags), in the order --help lists them;
+# ``build_parser`` fills the verify caps into the help. Each flag maps
+# to the keyword arguments of ``add_argument``; the plain parser reads
+# the same table, so the two cannot disagree on a flag.
 _COMMANDS = {
     "numbers": (
         _cmd_numbers,
@@ -216,7 +170,7 @@ _COMMANDS = {
     "verify": (
         _cmd_verify,
         "cross-check all computation routes; census and round-trip "
-        f"checks are capped at lengths {CENSUS_LIMIT} and {ROUNDTRIP_LIMIT}",
+        "checks are capped at lengths {CENSUS_LIMIT} and {ROUNDTRIP_LIMIT}",
         {"--max": {"type": int, "default": 12, "metavar": "N"}},
     ),
 }
@@ -226,13 +180,15 @@ def build_parser():
     """The argparse tree of every subcommand, built from ``_COMMANDS``."""
     import argparse
 
+    from . import verify
+
     parser = argparse.ArgumentParser(
         prog="motzkin",
         description="Motzkin words, their counting sequences, and generating functions, all in exact arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
+        command = sub.add_parser(name, help=help_text.format_map(vars(verify)))
         for flag, spec in flags.items():
             command.add_argument(flag, **spec)
     return parser

@@ -1,7 +1,8 @@
-"""The listing in ``motzkin.words`` and the completion table with its
-walks in ``motzkin.ranking`` are two routes to one series, which
-``verify`` checks against each other. They must share no code, or one
-fault could pass both checks."""
+"""The routes that ``verify`` checks against each other must share no
+code, or one fault could pass both sides of a line. The listing in
+``motzkin.words`` and the completion table with its walks in
+``motzkin.ranking`` are two routes to one series, and every line's two
+sides call only the shared functions its allowlist names."""
 
 import ast
 import json
@@ -10,7 +11,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from motzkin import ranking, words
+import pytest
+
+from motzkin import ranking, verify, words
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -94,3 +97,84 @@ def test_words_binds_from_ranking_only_the_alphabet_validate_and_the_walks():
     bound = {name for name in defined_in_ranking() if name in vars(words) and vars(words)[name] is vars(ranking)[name]}
     assert bound == ALPHABET | {"validate", "rank", "unrank"}
     assert not {"completion_count", "RANK_LIMIT"} & vars(words).keys()
+
+
+def reads_the_listing(reason):
+    return dict.fromkeys(("words.word_blocks", "words._blocks"), reason)
+
+
+# Line -> {package function both sides call: why the line still checks
+# something}. Every declared line has an entry; an empty one means the
+# two sides share no package function.
+SHARED = {
+    "motzkin-recurrence-vs-functional-series": {},
+    "motzkin-functional-vs-closed-form": {
+        "series.motzkin_series": "the method dispatch; each method builds its coefficients its own way",
+        "series.TruncatedSeries.__init__": "stores the coefficients it is given",
+        "series.TruncatedSeries.integer_coefficients": "reads the coefficients out as ints, checking each",
+    },
+    "difference-subtraction-vs-convolution": {
+        "sequences.difference_numbers": "the method dispatch; each method has its own loop",
+        "sequences.motzkin_numbers": "both forms read M; the line checks its recurrence against its convolution",
+    },
+    "nat-product-vs-linear": {
+        "series.nat_series": "the form dispatch; each form has its own arithmetic",
+        "series.motzkin_series": "both forms start from the functional M: the line checks the arithmetic on it",
+        "series.TruncatedSeries.__mul__": "M * M against (1 - x) * M; nat-series-vs-difference-table checks M * M",
+        "series.TruncatedSeries.order": "the truncation order of each product",
+        "series.TruncatedSeries.__init__": "stores the coefficients it is given",
+        "series.TruncatedSeries.integer_coefficients": "reads the coefficients out as ints, checking each",
+    },
+    "nat-series-vs-difference-table": {},
+    "symdiff-vs-difference-table": {},
+    "census-all-vs-motzkin-table": {},
+    "census-unique-vs-difference-table": {},
+    "census-inherited-vs-shifted-motzkin": {},
+    "rank-unrank-roundtrip": reads_the_listing("one side numbers the listed words, the other ranks and unranks them"),
+    "unrank-order-coherence": reads_the_listing("one side compares listed neighbours, the other gives their signs"),
+}
+
+LINES = [name for name, *_ in verify._lines(0)]
+COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
+
+
+def package_calls(side):
+    """The package functions outside ``motzkin.verify`` that running
+    ``side`` to its end calls, as 'module.qualname'. A comprehension or
+    generator expression counts as the function that holds it, since
+    3.12 runs list comprehensions inline and 3.11 in frames of their own."""
+    package = os.path.dirname(verify.__file__)
+    called = set()
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and os.path.dirname(code.co_filename) == package and code.co_filename != verify.__file__:
+            name = code.co_qualname
+            if code.co_name in COMPREHENSIONS:
+                name = name.rpartition(".<locals>.")[0]
+            called.add(f"{Path(code.co_filename).stem}.{name}")
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        for _ in side():
+            pass
+    finally:
+        sys.setprofile(previous)
+    return called
+
+
+def test_allowlist_names_the_declared_lines():
+    assert list(SHARED) == LINES
+
+
+@pytest.mark.parametrize("index", range(len(LINES)), ids=LINES)
+def test_sides_share_only_their_allowlist(monkeypatch, index):
+    assert LINES[index] in SHARED, "a new line needs an allowlist entry"
+    # Each side runs from a fresh declaration, on a cold completion
+    # table, so no table built by another side hides a call.
+    calls = []
+    for side in (1, 2):
+        monkeypatch.setattr(ranking, "_COLUMNS", [[1], []])
+        calls.append(package_calls(list(verify._lines(24))[index][side]))
+    assert calls[0] & calls[1] == set(SHARED[LINES[index]])

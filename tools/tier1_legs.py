@@ -6,7 +6,8 @@ interpreter that runs this script load on the others. So this script
 links those packages into a temporary directory outside the repository,
 puts it on ``PYTHONPATH`` after ``src``, and runs two legs on each
 interpreter found under ``~/.pyenv/versions/3.1[1-9]*``: tier-1, and
-tier-1 with ``-X dev -W error``. It prints one line per leg and exits 1
+tier-1 with ``-X dev -W error``. It prints one line per leg, then
+pytest's ``FAILED`` and ``ERROR`` summary lines of that leg, and exits 1
 if any leg fails, 2 if no interpreter or package is found.
 
 Run it from any directory with the interpreter that has pytest:
@@ -68,6 +69,10 @@ def main() -> int:
                 lines = result.stdout.strip().splitlines() or ["no output"]
                 failed |= result.returncode != 0
                 print(f"{version} {leg}: {'ok' if result.returncode == 0 else 'FAILED'}: {lines[-1]}", flush=True)
+                # pytest's short summary names each failing test.
+                for line in lines:
+                    if line.startswith(("FAILED ", "ERROR ")):
+                        print(f"    {line}", flush=True)
     return 1 if failed else 0
 
 
