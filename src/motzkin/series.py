@@ -27,6 +27,7 @@ so a process that stays in the ints never loads either module.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from operator import mul
 
 from .errors import BadConstantTermError, InternalError, ZeroConstantTermError
 
@@ -123,10 +124,12 @@ class TruncatedSeries:
             raise BadConstantTermError("series square root needs constant term 1")
         root: list[int | Fraction] = [1]
         for n in range(1, self.order + 1):
-            acc = self.coefficients[n]
-            for k in range(1, n):
-                acc -= root[k] * root[n - k]
-            root.append(_half(acc))
+            # The sum of root[k] * root[n - k] over 0 < k < n is symmetric in
+            # k <-> n - k: subtract its first h terms twice, and the middle
+            # term once when it has one (n even).
+            h = (n - 1) // 2
+            acc = self.coefficients[n] - 2 * sum(map(mul, root[1 : h + 1], reversed(root[n - h : n])))
+            root.append(_half(acc - root[h + 1] ** 2 if n % 2 == 0 else acc))
         return TruncatedSeries(root)
 
     def integer_coefficients(self) -> list[int]:
@@ -174,12 +177,14 @@ def motzkin_series(order: int, method: str = "functional") -> TruncatedSeries:
         raise ValueError(f"unknown method {method!r}")
     if method == "functional":
         # Coefficient n of 1 + x*M + x^2*M^2 must equal coefficient n of M.
+        # The sum of coeffs[k] * coeffs[n - 2 - k] is symmetric in
+        # k <-> n - 2 - k: add its first h terms twice, and the middle term
+        # once when it has one (n even).
         coeffs = [1]
         for n in range(1, order + 1):
-            acc = coeffs[n - 1]
-            for k in range(n - 1):
-                acc += coeffs[k] * coeffs[n - 2 - k]
-            coeffs.append(acc)
+            h = (n - 1) // 2
+            acc = coeffs[n - 1] + 2 * sum(map(mul, coeffs[:h], reversed(coeffs[n - 1 - h : n - 1])))
+            coeffs.append(acc + coeffs[h] ** 2 if n % 2 == 0 else acc)
         result = TruncatedSeries(coeffs)
     else:
         root = TruncatedSeries.from_coefficients([1, -2, -3], order + 2).sqrt()

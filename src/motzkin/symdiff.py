@@ -2,17 +2,19 @@
 
 A ``SqrtFraction`` holds four integer polynomials a, b, c, d and stands
 for ``(a + b*W) / (c + d*W)`` where ``W = sqrt(r)`` and the radicand
-``r = 1 - 2x - 3x^2`` is fixed. Differentiating the seed fraction
-``(2 - 2x) / D`` with ``D = 1 - x + W`` repeatedly and evaluating at
-zero yields the difference numbers. Since
+``r = 1 - 2x - 3x^2`` is fixed. The seed is the generating function
+of the difference numbers, ``G = x - 1 + (1 - x) * M`` for the Motzkin
+series M, written over ``D = 1 - x + W``. Since
 
     (1 - x + W)(1 - x - W) = (1 - x)^2 - r = 4x^2,
 
-``1/D = (1 - x - W) / (4x^2) = M/2`` for the Motzkin series M, so the
-seed is ``(1 - x) * M``. Its k-th Taylor coefficient (k-th derivative
-at zero over k!) is ``M_k - M_(k-1)``, which is ``U_k`` for k >= 2;
-at k = 0 and 1 it is 1 and 0, so ``nat_coefficients`` adds -1 and +1
-there (``U_0 = 0``, ``U_1 = 1``).
+``1/D = (1 - x - W) / (4x^2) = M/2``, so ``M = 2/D`` and
+
+    G = ((x - 1) D + 2 - 2x) / D = (1 - x^2 + (x - 1) W) / D.
+
+Differentiating it repeatedly and evaluating at zero yields the
+difference numbers: its k-th Taylor coefficient (k-th derivative at
+zero over k!) is ``U_k`` for every k >= 0.
 
 ``derivative_step`` performs one differentiation with the direct
 update (conjugate-free, obtained by clearing the 1/W terms):
@@ -176,9 +178,10 @@ class SqrtFraction(namedtuple("SqrtFraction", "a b c d")):
 
 
 def initial_fraction() -> SqrtFraction:
-    """The seed (2 - 2x) / (1 - x + W) whose derivatives carry the
-    difference numbers."""
-    return SqrtFraction(IntPoly((2, -2)), IntPoly(), ONE_MINUS_X, IntPoly((1,)))
+    """The seed (1 - x^2 + (x - 1)W) / (1 - x + W), the generating
+    function of the difference numbers, whose k-th derivative at zero
+    over k! is U_k."""
+    return SqrtFraction(IntPoly((1, 0, -1)), IntPoly((-1, 1)), ONE_MINUS_X, IntPoly((1,)))
 
 
 def derivative_step(fraction: SqrtFraction) -> SqrtFraction:
@@ -253,8 +256,7 @@ class DerivativeCursor:
 def nat_coefficients(k_max: int) -> list[int]:
     """Difference numbers U_0..U_k_max extracted by the derivative cycle.
 
-    U_k is the k-th derivative of the seed fraction at zero over k!,
-    with -1 added at k = 0 and +1 at k = 1 for the series prefix x - 1.
+    U_k is the k-th derivative of the seed fraction at zero over k!.
     Raises InternalError if any value fails to be a natural number.
     """
     if k_max < 0:
@@ -268,10 +270,6 @@ def nat_coefficients(k_max: int) -> list[int]:
             factorial *= k
         numerator, denominator = _value_at_zero(cursor.current)
         denominator *= factorial
-        if k == 0:
-            numerator -= denominator
-        elif k == 1:
-            numerator += denominator
         value, remainder = divmod(numerator, denominator)
         if remainder or value < 0:
             from fractions import Fraction

@@ -9,10 +9,10 @@ the work of the table and series kernels, and runs one loop of small
 ints, the work of the walks. A failing gate names its kernel, the ratio
 and the probe time.
 
-Each bound is twice the largest ratio measured in 132 separate
-processes over two sessions, on Python 3.11, 3.12 and 3.13, with and
-without ``-X dev``, standalone and inside a whole tier-1 run; the
-changelog records those runs.
+Each bound is twice the largest ratio measured in its calibration runs:
+separate processes over two sessions, on Python 3.11, 3.12 and 3.13,
+with and without ``-X dev``, standalone and inside a whole tier-1 run;
+the changelog records those runs.
 """
 
 import gc
@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from motzkin import ranking, sequences, symdiff
+from motzkin import ranking, sequences, series, symdiff
 
 ROUNDS = 3
 _BASE = 3**40000
@@ -49,6 +49,8 @@ def kernels():
         "unrank": lambda: [ranking.unrank(index) for index in indexes],
         "nat_coefficients": lambda: symdiff.nat_coefficients(200),
         "difference_numbers": lambda: sequences.difference_numbers(1500, "convolution"),
+        "motzkin_series_functional": lambda: series.motzkin_series(800, "functional"),
+        "motzkin_series_closed_form": lambda: series.motzkin_series(800, "closed_form"),
     }
 
 
@@ -81,6 +83,8 @@ BOUNDS = {
     "unrank": 0.43,
     "nat_coefficients": 100,
     "difference_numbers": 120,
+    "motzkin_series_functional": 12,
+    "motzkin_series_closed_form": 14,
 }
 
 

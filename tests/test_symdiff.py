@@ -5,7 +5,7 @@ import pytest
 
 from motzkin import DegenerateFractionError, InternalError, ZeroDenominatorError
 from motzkin import sequences
-from motzkin.series import TruncatedSeries
+from motzkin.series import NAT_FORMS, TruncatedSeries, nat_series
 from motzkin.symdiff import (
     HALF_DERIVATIVE,
     RADICAND,
@@ -85,11 +85,18 @@ class TestIntPoly:
             IntPoly((1,)).exact_div(IntPoly((1, 1)))
 
 
+# (1 - x) * M = (2 - 2x) / (1 - x + W), the seed less its x - 1 prefix.
+# Its numerator has no W part, so its first two steps stay short enough
+# for the hand derivations below.
+SCALED_MOTZKIN = SqrtFraction(IntPoly((2, -2)), IntPoly(), IntPoly((1, -1)), IntPoly((1,)))
+
+
 class TestInitialFraction:
     def test_components(self):
+        # (1 - x^2 + (x - 1)W) / (1 - x + W) = x - 1 + (1 - x) * M.
         f = initial_fraction()
-        assert f.a == IntPoly((2, -2))
-        assert f.b == IntPoly()
+        assert f.a == IntPoly((1, 0, -1))
+        assert f.b == IntPoly((-1, 1))
         assert f.c == IntPoly((1, -1))
         assert f.d == IntPoly((1,))
 
@@ -99,12 +106,12 @@ class TestInitialFraction:
         assert (a, b, c, d) == (f.a, f.b, f.c, f.d)
 
     def test_value_at_zero(self):
-        assert evaluate_at_zero(initial_fraction()) == 1
+        assert evaluate_at_zero(initial_fraction()) == 0
 
 
 class TestDerivativeStep:
     def test_first_step_polynomials(self):
-        g = derivative_step(initial_fraction())
+        g = derivative_step(SCALED_MOTZKIN)
         assert g.a == IntPoly((0, 8))
         assert g.b == IntPoly()
         # 2 * (1 - x) * (1 - 2x - 3x^2), expanded by hand.
@@ -114,7 +121,7 @@ class TestDerivativeStep:
     def test_second_step_polynomials(self):
         # Hand derivation from the content-reduced first step
         # (4x, 0, (1-x)r, 1-2x-x^2).
-        reduced = content_reduce(derivative_step(initial_fraction()))
+        reduced = content_reduce(derivative_step(SCALED_MOTZKIN))
         assert reduced == SqrtFraction(
             IntPoly((0, 4)), IntPoly(), IntPoly((1, -3, -1, 3)), IntPoly((1, -2, -1))
         )
@@ -293,13 +300,15 @@ class TestNatCoefficient:
 
 class TestFractionSeries:
     def test_seed_expansion(self):
-        # The seed fraction is the difference-number series without its
-        # x - 1 prefix: coefficients 1, 0, then the difference numbers.
+        # The seed fraction is the difference-number series itself.
         expansion = fraction_series(initial_fraction(), 6).integer_coefficients()
-        assert expansion == [1, 0, 1, 2, 5, 12, 30]
+        assert expansion == [0, 1, 1, 2, 5, 12, 30]
 
     def test_taylor_coefficients_match_cycle(self):
         expansion = fraction_series(initial_fraction(), 4)
-        adjustments = {0: -1, 1: 1}
         for k in range(5):
-            assert nat_coefficients(k)[-1] == expansion[k] + adjustments.get(k, 0)
+            assert nat_coefficients(k)[-1] == expansion[k]
+
+    @pytest.mark.parametrize("form", NAT_FORMS)
+    def test_seed_is_the_nat_series(self, form):
+        assert fraction_series(initial_fraction(), 40) == nat_series(40, form)
