@@ -39,8 +39,10 @@ _SERIES_METHODS = {
 
 
 def _print_table(values: list[int], bfile: bool) -> None:
+    # One write per line, to the stdout of the moment: print makes two,
+    # the value and then the newline, each a system call when unbuffered.
     for n, value in enumerate(values):
-        print(f"{n} {value}" if bfile else value)
+        sys.stdout.write(f"{n} {value}\n" if bfile else f"{value}\n")
 
 
 # Each handler imports only the module it runs, so a process loads no

@@ -16,7 +16,7 @@ for the caps in its help.
 
 from collections.abc import Iterator
 from functools import cache
-from itertools import chain, pairwise, zip_longest
+from itertools import chain, pairwise, repeat, zip_longest
 
 # Above this length the verify census would enumerate millions of words;
 # checks that need exhaustive listings are capped here.
@@ -58,7 +58,8 @@ def _lines(max_n: int) -> Iterator[tuple]:
         return lambda: [sum(map(len, words.word_blocks(n, kind))) for n in range(size)]
 
     # The unique words up to length `roundtrip_max`, in series order. Each
-    # side that reads them streams its own listing, one block at a time.
+    # left side streams the listing, one block at a time; each right side
+    # reads only the index range, so the two sides share no package function.
     roundtrip_max = min(max_n, ROUNDTRIP_LIMIT)
     roundtrip_span = f"lengths <= {roundtrip_max}, {{count}} words"
 
@@ -66,8 +67,15 @@ def _lines(max_n: int) -> Iterator[tuple]:
         blocks = (block for n in range(1, roundtrip_max + 1) for block in words.word_blocks(n, "unique"))
         return chain.from_iterable(blocks)
 
+    # U_1 + ... + U_roundtrip_max, the number of unique words that the
+    # listing must hold.
+    def count():
+        return sum(u()[1 : roundtrip_max + 1])
+
     def walks():
-        return ((ranking.rank(word), ranking.unrank(index)) for index, word in enumerate(listing()))
+        # unrank(i) == listed[i] and rank(unrank(i)) == i together say
+        # rank(listed[i]) == i.
+        return ((ranking.rank(word), word) for word in map(ranking.unrank, range(count())))
 
     def order_signs():
         # The empty word sorts before every word of length 1. Each pair is
@@ -86,7 +94,7 @@ def _lines(max_n: int) -> Iterator[tuple]:
     yield "census-unique-vs-difference-table", census("unique"), lambda: u()[:size], census_span
     yield "census-inherited-vs-shifted-motzkin", census("inherited"), lambda: [0, 0, *m()[1:]][:size], census_span
     yield "rank-unrank-roundtrip", lambda: enumerate(listing()), walks, roundtrip_span
-    yield "unrank-order-coherence", order_signs, lambda: ((-1, 1, 0) for _ in listing()), roundtrip_span
+    yield "unrank-order-coherence", order_signs, lambda: repeat((-1, 1, 0), count()), roundtrip_span
 
 
 def verification_checks(max_n: int) -> Iterator[tuple[str, bool, str]]:

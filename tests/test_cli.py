@@ -31,6 +31,18 @@ class TestNumbers:
         assert code == 0
         assert out == "0 1\n1 1\n2 2\n3 4\n"
 
+    def test_one_write_per_line(self, monkeypatch):
+        # Unbuffered, each write is a system call.
+        class Recorder(list):
+            write = list.append
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert cli.main(["numbers", "--max", "5", "--bfile"]) == 0
+        assert sys.stdout == ["0 1\n", "1 1\n", "2 2\n", "3 4\n", "4 9\n", "5 21\n"]
+
 
 class TestDiff:
     def test_anchor(self, capsys):

@@ -12,7 +12,9 @@ and the probe time.
 Each bound is twice the largest ratio measured in its calibration runs:
 separate processes over two sessions, on Python 3.11, 3.12 and 3.13,
 with and without ``-X dev``, standalone and inside a whole tier-1 run;
-the changelog records those runs.
+the changelog records those runs. That margin hides a 2x slip, so the
+three self-convolutions are also held to an exact count of their
+products.
 """
 
 import gc
@@ -93,3 +95,31 @@ def test_kernel_stays_within_its_probe_ratio(name):
     ratio, probe_seconds = best_ratio(kernels()[name])
     bound = BOUNDS[name]
     assert ratio <= bound, f"{name}: {ratio:.2f} probes, above the bound {bound} (probe {probe_seconds * 1e3:.1f} ms)"
+
+
+# Products of the self-convolutions: each index n forms (n - 1) // 2
+# pairs once, and the middle square is a power, not a product. The sums
+# run over n = 2..60 for the table, 1..60 for the functional solver and
+# 1..62 for the closed form's root. A loop that formed every pair twice
+# would make about twice as many.
+PRODUCTS = {
+    "difference_numbers": (lambda: sequences.difference_numbers(60, "convolution"), 870),
+    "motzkin_series_functional": (lambda: series.motzkin_series(60, "functional"), 870),
+    "motzkin_series_closed_form": (lambda: series.motzkin_series(60, "closed_form"), 930),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_self_convolutions_form_each_pair_once(monkeypatch, name):
+    build, products = PRODUCTS[name]
+    made = 0
+
+    def counted(a, b):
+        nonlocal made
+        made += 1
+        return a * b
+
+    for module in (sequences, series):
+        monkeypatch.setattr(module, "mul", counted)
+    build()
+    assert made == products

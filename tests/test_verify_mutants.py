@@ -229,7 +229,7 @@ MUTANTS = [
     (wrong_linear_nat_coefficient, {"nat-product-vs-linear"}),
     (wrong_last_cycle_value, {"symdiff-vs-difference-table"}),
     (short_word_listing, {"census-all-vs-motzkin-table"}),
-    (short_unique_listing, {"census-unique-vs-difference-table", "rank-unrank-roundtrip"}),
+    (short_unique_listing, {"census-unique-vs-difference-table", "rank-unrank-roundtrip", "unrank-order-coherence"}),
     (inherited_short_word, {"census-inherited-vs-shifted-motzkin"}),
     (wrong_rank_at_length_nine, {"rank-unrank-roundtrip"}),
     (wrong_unrank_at_index_100, {"rank-unrank-roundtrip"}),
