@@ -25,7 +25,7 @@ process with ``os._exit``, skipping the interpreter's teardown.
 import atexit
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from types import SimpleNamespace
 
 from .errors import InternalError, MotzkinError
@@ -38,7 +38,7 @@ _SERIES_METHODS = {
 }
 
 
-def _print_table(values: list[int], bfile: bool) -> None:
+def _print_table(values: Iterable[int], bfile: bool) -> None:
     # One write per line, to the stdout of the moment: print makes two,
     # the value and then the newline, each a system call when unbuffered.
     for n, value in enumerate(values):
@@ -50,7 +50,7 @@ def _print_table(values: list[int], bfile: bool) -> None:
 def _cmd_numbers(args: SimpleNamespace) -> int:
     from . import sequences
 
-    _print_table(sequences.motzkin_numbers(args.max), args.bfile)
+    _print_table(sequences.motzkin_stream(args.max), args.bfile)
     return 0
 
 

@@ -54,9 +54,10 @@ table and a read past the depth bound. Only then is the word checked,
 once: ``validate`` names any fault, and a valid word that is not "0"
 and does not start with '(' has no position. A unique word grows the
 table once, to its length and its deepest depth plus one, and is walked
-again. ``unrank`` finds the length of an index among the Motzkin numbers
-up to M_RANK_LIMIT, so an index of M_RANK_LIMIT or more asks for length
-RANK_LIMIT + 1 and is refused before anything is built.
+again. ``unrank`` finds the length of an index on the stream of Motzkin
+numbers up to M_RANK_LIMIT, which holds no table, so an index of
+M_RANK_LIMIT or more asks for length RANK_LIMIT + 1 and is refused before
+anything is built.
 
 ``validate`` is defined here beside the alphabet it checks, and
 ``motzkin.words`` binds both, so this module imports nothing of the
@@ -247,12 +248,13 @@ def unrank(index: int) -> str:
         raise ValueError("index must be nonnegative")
 
     # Indexes below completion_count(0, n) = M_n have length <= n. The
-    # table grows to the length of an index it does not cover, found among
-    # M_0..M_(b+1) for an index of b bits, since M_n >= 2^(n-1).
+    # table grows to the length of an index it does not cover: the first
+    # n with M_n > index, read off the stream of Motzkin numbers, or
+    # RANK_LIMIT + 1, which _grow refuses.
     columns = _COLUMNS
     if columns[0][-1] <= index:
-        motzkin = sequences.motzkin_numbers(min(index.bit_length() + 1, RANK_LIMIT))
-        columns = _grow(bisect_right(motzkin, index))
+        motzkin = enumerate(sequences.motzkin_stream(RANK_LIMIT))
+        columns = _grow(next((n for n, m in motzkin if m > index), RANK_LIMIT + 1))
     n = bisect_right(columns[0], index, lo=1)
 
     # The series index is the lexicographic index among all n-words: at

@@ -108,6 +108,15 @@ class TestStreaming:
         assert sink.tail.endswith(")\ncount=853467\n")
         assert peak < 2_000_000
 
+    def test_numbers_holds_no_table(self, monkeypatch):
+        # M_0..M_3000 take about 1 MB as a list; the stream holds two values.
+        sink = CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        peak = traced_peak(lambda: cli.main(["numbers", "--max", "3000"]))
+        assert sink.lines == 3001
+        assert sink.tail.endswith(str(sequences.motzkin_numbers(3000)[-1])[-20:] + "\n")
+        assert peak < 100_000
+
     def test_verify_census_holds_no_listing(self):
         checks = []
         peak = traced_peak(lambda: checks.extend(cli.verification_checks(24)))
@@ -448,7 +457,7 @@ class TestExitPath:
 
 class TestLargeIntegers:
     def test_prints_beyond_the_digit_limit(self, capsys, monkeypatch):
-        monkeypatch.setattr(sequences, "motzkin_numbers", lambda max_n: [10**5000])
+        monkeypatch.setattr(sequences, "motzkin_stream", lambda max_n: iter([10**5000]))
         before = sys.get_int_max_str_digits()
         code, out, err = run(capsys, "numbers", "--max", "0")
         assert (code, out, err) == (0, "1" + "0" * 5000 + "\n", "")

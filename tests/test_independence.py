@@ -112,6 +112,7 @@ SHARED = {
     "difference-subtraction-vs-convolution": {
         "sequences.difference_numbers": "the method dispatch; each method has its own loop",
         "sequences.motzkin_numbers": "both forms read M; the line checks its recurrence against its convolution",
+        "sequences.motzkin_stream": "the recurrence that motzkin_numbers lists",
     },
     "nat-product-vs-linear": {
         "series.nat_series": "the form dispatch; each form has its own arithmetic",

@@ -496,13 +496,24 @@ class TestUnrank:
             assert ranking._COLUMNS == cold_table()
 
     def test_cold_call_builds_the_table_to_its_length(self):
-        # unrank searches M_0..M_(b+1) for the length, and the table grows
-        # to that length and to each depth the walk reaches.
+        # unrank reads the length off the stream of Motzkin numbers, and the
+        # table grows to that length and to each depth the walk reaches.
         index = sequences.motzkin_numbers(400)[-1] - 1
         report = run_fresh(COLD_UNRANK_PROBE, str(index), None)
         assert report["word"] == words.unrank(index)
         assert len(report["word"]) == 400
         assert report["columns"] == table_layout(400, len(report["columns"]) - 1)
+
+    def test_cold_call_builds_one_motzkin_table(self, monkeypatch):
+        # Column 0 is the one table of Motzkin numbers a cold unrank
+        # builds; the length comes from the stream, which holds none.
+        index = sequences.motzkin_numbers(400)[-1] - 1
+        calls = []
+        original = sequences.motzkin_numbers
+        monkeypatch.setattr(sequences, "motzkin_numbers", lambda n_max: calls.append(n_max) or original(n_max))
+        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
+        assert len(words.unrank(index)) == 400
+        assert calls == [400]
 
 
 # Unranks the index in argv[1] on a cold table; reports the word and the
