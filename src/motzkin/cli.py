@@ -16,7 +16,9 @@ full at most once with a valid value, straight from that table, without
 loading argparse. Any other line (help, an abbreviation, ``--flag=value``,
 a repeat, a bad value or a missing flag) goes to ``build_parser``, the
 argparse tree built from the same table, so help and usage errors are
-argparse's own. ``main`` returns the exit status; ``run``, the
+argparse's own. A handler only computes and writes: it returns nothing,
+or 2 from ``verify`` for a FAIL line. ``main`` alone turns that, and what
+a handler raises, into the exit status it returns; ``run``, the
 entry point of the ``motzkin`` script and of ``python -m motzkin.cli``,
 then runs the ``atexit`` handlers, flushes both streams and ends the
 process with ``os._exit``, skipping the interpreter's teardown.
@@ -38,7 +40,7 @@ _SERIES_METHODS = {
 }
 
 
-def _print_table(values: Iterable[int], bfile: bool) -> None:
+def _print_table(values: Iterable[int], bfile: bool = False) -> None:
     # One write per line, to the stdout of the moment: print makes two,
     # the value and then the newline, each a system call when unbuffered.
     for n, value in enumerate(values):
@@ -47,21 +49,19 @@ def _print_table(values: Iterable[int], bfile: bool) -> None:
 
 # Each handler imports only the module it runs, so a process loads no
 # more of the package than its subcommand needs.
-def _cmd_numbers(args: SimpleNamespace) -> int:
+def _cmd_numbers(args: SimpleNamespace) -> None:
     from . import sequences
 
     _print_table(sequences.motzkin_stream(args.max), args.bfile)
-    return 0
 
 
-def _cmd_diff(args: SimpleNamespace) -> int:
+def _cmd_diff(args: SimpleNamespace) -> None:
     from . import sequences
 
     _print_table(sequences.difference_numbers(args.max, args.method), args.bfile)
-    return 0
 
 
-def _cmd_enumerate(args: SimpleNamespace) -> int:
+def _cmd_enumerate(args: SimpleNamespace) -> None:
     # One write per block, to the stdout of the moment (it may be
     # redirected after import); the listing is never held whole.
     from . import words
@@ -71,24 +71,21 @@ def _cmd_enumerate(args: SimpleNamespace) -> int:
         sys.stdout.write("\n".join(block) + "\n")
         count += len(block)
     print(f"count={count}")
-    return 0
 
 
-def _cmd_rank(args: SimpleNamespace) -> int:
+def _cmd_rank(args: SimpleNamespace) -> None:
     from . import ranking
 
     print(ranking.rank(args.word))
-    return 0
 
 
-def _cmd_unrank(args: SimpleNamespace) -> int:
+def _cmd_unrank(args: SimpleNamespace) -> None:
     from . import ranking
 
     print(ranking.unrank(args.index))
-    return 0
 
 
-def _cmd_series(args: SimpleNamespace) -> int:
+def _cmd_series(args: SimpleNamespace) -> None:
     from . import series
 
     methods = _SERIES_METHODS[args.target]
@@ -97,15 +94,13 @@ def _cmd_series(args: SimpleNamespace) -> int:
         raise ValueError(f"method '{flag}' does not apply to target '{args.target}'")
     # Looked up per call, so a rebound module attribute is what runs.
     build = series.motzkin_series if args.target == "motzkin" else series.nat_series
-    _print_table(build(args.order, methods[flag]).integer_coefficients(), False)
-    return 0
+    _print_table(build(args.order, methods[flag]).integer_coefficients())
 
 
-def _cmd_symdiff(args: SimpleNamespace) -> int:
+def _cmd_symdiff(args: SimpleNamespace) -> None:
     from . import symdiff
 
-    _print_table(symdiff.nat_coefficients(args.max), False)
-    return 0
+    _print_table(symdiff.nat_coefficients(args.max))
 
 
 # The matrix lives in ``motzkin.verify``, which only this subcommand
@@ -116,12 +111,12 @@ def verification_checks(max_n: int) -> Iterator[tuple[str, bool, str]]:
     yield from verify.verification_checks(max_n)
 
 
-def _cmd_verify(args: SimpleNamespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int | None:
     failed = False
     for name, ok, detail in verification_checks(args.max):
         print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")
         failed |= not ok
-    return 2 if failed else 0
+    return 2 if failed else None
 
 
 _BFILE = {"action": "store_true", "default": False, "help": "print 'n value' pairs (b-file format)"}
@@ -258,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        status = handler(SimpleNamespace(**fields))
+        status = handler(SimpleNamespace(**fields)) or 0
         sys.stdout.flush()
         return status
     except BrokenPipeError:

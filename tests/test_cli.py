@@ -391,7 +391,27 @@ def module_env(unbuffered=False):
 
 def module_run(argv, unbuffered=False):
     return subprocess.run(
-        [sys.executable, "-m", "motzkin.cli", *argv], env=module_env(unbuffered), capture_output=True, check=False
+        [sys.executable, "-m", "motzkin.cli", *argv],
+        env=module_env(unbuffered),
+        capture_output=True,
+        check=False,
+        timeout=120,
+    )
+
+
+def script_run(setup, argv):
+    """Run ``setup`` in a new process, then the script entry on ``argv``
+    as ``python -m motzkin.cli`` runs it."""
+    probe = "\n".join(
+        [
+            "import runpy, sys",
+            setup,
+            f"sys.argv = ['motzkin', *{argv!r}]",
+            "runpy.run_module('motzkin.cli', run_name='__main__')",
+        ]
+    )
+    return subprocess.run(
+        [sys.executable, "-c", probe], env=module_env(), capture_output=True, check=False, timeout=120
     )
 
 
@@ -414,18 +434,48 @@ class TestExitPath:
         # The handler writes to a buffered stdout after main() returns; its
         # line shows that the handlers run before the final flush. A global
         # whose __del__ writes to stderr would speak in the teardown.
-        probe = "\n".join(
+        setup = "\n".join(
             [
-                "import atexit, os, runpy, sys",
+                "import atexit, os",
                 "atexit.register(print, 'handler ran')",
                 "Noisy = type('Noisy', (), {'__del__': lambda self: os.write(2, b'teardown')})",
                 "noisy = Noisy()",
-                "sys.argv = ['motzkin', 'numbers', '--max', '2']",
-                "runpy.run_module('motzkin.cli', run_name='__main__')",
             ]
         )
-        done = subprocess.run([sys.executable, "-c", probe], env=module_env(), capture_output=True, check=False)
+        done = script_run(setup, ["numbers", "--max", "2"])
         assert (done.returncode, done.stdout, done.stderr) == (0, b"1\n1\n2\nhandler ran\n", b"")
+
+    # Statuses 2 and 3 leave the process as main returns them. Each patch
+    # leaves the completion table alone: in a new process its first growth
+    # would read a patched motzkin_numbers and end in the pad check's 3.
+    def test_a_fail_line_exits_two(self):
+        setup = "\n".join(
+            [
+                "from motzkin import sequences",
+                "original = sequences.difference_numbers",
+                "sequences.difference_numbers = lambda n_max, method: "
+                "[value + (method == 'convolution') for value in original(n_max, method)]",
+            ]
+        )
+        done = script_run(setup, ["verify", "--max", "12"])
+        assert (done.returncode, done.stderr) == (2, b"")
+        lines = done.stdout.decode().splitlines()
+        assert len(lines) == 11
+        assert [line for line in lines if not line.startswith("PASS ")] == [
+            "FAIL difference-subtraction-vs-convolution (n <= 12)"
+        ]
+
+    def test_an_internal_error_exits_three(self):
+        setup = "\n".join(
+            [
+                "from motzkin import InternalError, sequences",
+                "def motzkin_stream(n_max):",
+                "    raise InternalError('probe fault')",
+                "sequences.motzkin_stream = motzkin_stream",
+            ]
+        )
+        done = script_run(setup, ["numbers", "--max", "3"])
+        assert (done.returncode, done.stdout, done.stderr) == (3, b"", b"error: INTERNAL: probe fault\n")
 
     @pytest.mark.parametrize("argv, status", [(["numbers", "--max", "3"], 0), (["rank", "--word", "00"], 1)])
     def test_no_stderr_keeps_the_status(self, argv, status):
@@ -436,6 +486,7 @@ class TestExitPath:
             stdout=subprocess.DEVNULL,
             preexec_fn=lambda: os.close(2),
             check=False,
+            timeout=120,
         )
         assert done.returncode == status
 
@@ -447,7 +498,11 @@ class TestExitPath:
         os.close(read)
         try:
             done = subprocess.run(
-                [sys.executable, "-m", "motzkin.cli", "--help"], env=module_env(), stdout=write, stderr=subprocess.PIPE
+                [sys.executable, "-m", "motzkin.cli", "--help"],
+                env=module_env(),
+                stdout=write,
+                stderr=subprocess.PIPE,
+                timeout=120,
             )
         finally:
             os.close(write)
@@ -488,6 +543,7 @@ def loaded_after(probe):
         capture_output=True,
         text=True,
         check=True,
+        timeout=120,
     )
     return frozenset(result.stdout.split())
 

@@ -71,6 +71,7 @@ def test_ranking_loads_no_listing():
         capture_output=True,
         text=True,
         check=True,
+        timeout=120,
     )
     report = json.loads(result.stdout)
     assert report["results"] == [

@@ -108,9 +108,23 @@ def wrong_natural_cursor_value(monkeypatch):
 
 
 def wrong_last_motzkin_number(monkeypatch):
-    # Every route that reads the Motzkin table sees the wrong M_12.
+    # Every motzkin_numbers call returns its last entry two too high, so
+    # each line that reads M_0..M_12 sees the wrong M_12. The completion
+    # table is grown first, with the true numbers, to all that the round
+    # trip reads: length 10 and depth 6, one past the deepest word of
+    # length 10. So no growth reads a wrong M_L.
+    monkeypatch.setattr(ranking, "_COLUMNS", [[1], []])
+    ranking._grow(10, 6)
     original = sequences.motzkin_numbers
     monkeypatch.setattr(sequences, "motzkin_numbers", lambda n_max: _bump(original(n_max), n_max))
+
+
+def wrong_last_motzkin_number_on_a_cold_table(monkeypatch):
+    # The same mutant on the table a process starts with: each length L
+    # the table grows to reads a wrong M_L, and the pad check refuses the
+    # first growth, c(1, 0) = 2.
+    wrong_last_motzkin_number(monkeypatch)
+    monkeypatch.setattr(ranking, "_COLUMNS", [[1], []])
 
 
 def wrong_convolution_value(monkeypatch):
@@ -216,6 +230,7 @@ MUTANTS = [
             "census-unique-vs-difference-table",
         },
     ),
+    (wrong_last_motzkin_number_on_a_cold_table, None),
     (wrong_convolution_value, {"difference-subtraction-vs-convolution"}),
     (
         wrong_functional_coefficient,
