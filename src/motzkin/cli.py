@@ -4,10 +4,12 @@ Every library operation is reachable from a subcommand, and ``verify``
 cross-checks the independent computation routes against each other.
 Output is plain newline-terminated text, deterministic for identical
 invocations, and integers print in full at any size. Exit status: 0
-success, 1 usage or input error, or a reader that closed the output
-pipe early (silently), 2 when ``verify`` reports any FAIL line, 3 when
-an internal invariant fails (``error: INTERNAL: ...`` or
-``error: DEGENERATE: ...``).
+success, 1 usage or input error, a reader that closed the output pipe
+early (silently) or output that could not be written (``error: OUTPUT:
+...``, such as a full device), 2 when ``verify`` reports any FAIL line,
+3 when an internal invariant fails (``error: INTERNAL: ...`` or
+``error: DEGENERATE: ...``). A process started without stdout writes
+nothing and keeps its status.
 
 Every call is a new process, so start and exit are paid per request.
 ``_COMMANDS`` declares each subcommand's flags once. ``main`` reads a
@@ -256,12 +258,15 @@ def main(argv: list[str] | None = None) -> int:
         status = handler(SimpleNamespace(**fields)) or 0
         sys.stdout.flush()
         return status
-    except BrokenPipeError:
-        # The reader is gone (``| head``). Point stdout at devnull so the
-        # flush at exit has nowhere to fail.
+    except OSError as exc:
+        # The output failed: a reader that is gone (``| head``), which
+        # stays silent, or a device that is full. Point stdout at devnull
+        # so the flush at exit has nowhere to fail.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: OUTPUT: {exc.strerror}", file=sys.stderr)
         return 1
     except (MotzkinError, ValueError, InternalError) as exc:
         print(f"error: {getattr(exc, 'code', 'USAGE')}: {exc}", file=sys.stderr)
@@ -277,8 +282,11 @@ def run() -> None:
     stderr and ends the process with ``os._exit``, skipping the
     interpreter's teardown of every module, which a short-lived process
     does not need. If a flush fails, the process exits through
-    ``sys.exit`` instead, so the interpreter reports it.
+    ``sys.exit`` instead, so the interpreter reports it. A process
+    started without descriptor 1 writes to devnull and keeps its status.
     """
+    if sys.stdout is None:
+        sys.stdout = open(os.devnull, "w")
     status = main()
     atexit._run_exitfuncs()
     try:

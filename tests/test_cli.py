@@ -6,18 +6,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from pathlib import Path
 
 import pytest
+from support import SRC, child_env, python, run
 
 import motzkin
 from motzkin import DegenerateFractionError, InternalError, cli, errors, sequences, series, symdiff, words
-
-
-def run(capsys, *argv):
-    code = cli.main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 class TestNumbers:
@@ -358,9 +352,6 @@ class TestInternalErrors:
         assert "Traceback" not in err
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
 class TestClosedPipe:
     @pytest.mark.parametrize("argv", [["enumerate", "--length", "14"], ["numbers", "--max", "5000"]])
     def test_reader_gone_exits_one_silently(self, argv):
@@ -368,7 +359,7 @@ class TestClosedPipe:
         # writer meets the closed pipe.
         proc = subprocess.Popen(
             [sys.executable, "-m", "motzkin.cli", *argv],
-            env={**os.environ, "PYTHONPATH": str(SRC)},
+            env=child_env(),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )
@@ -377,26 +368,6 @@ class TestClosedPipe:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 1
         assert err == b""
-
-
-def module_env(unbuffered=False):
-    """The environment of a ``python -m motzkin.cli`` process: the help
-    width fixed at 80 columns, and stdout buffered unless ``unbuffered``."""
-    env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    return env
-
-
-def module_run(argv, unbuffered=False):
-    return subprocess.run(
-        [sys.executable, "-m", "motzkin.cli", *argv],
-        env=module_env(unbuffered),
-        capture_output=True,
-        check=False,
-        timeout=120,
-    )
 
 
 def script_run(setup, argv):
@@ -410,9 +381,7 @@ def script_run(setup, argv):
             "runpy.run_module('motzkin.cli', run_name='__main__')",
         ]
     )
-    return subprocess.run(
-        [sys.executable, "-c", probe], env=module_env(), capture_output=True, check=False, timeout=120
-    )
+    return python("-c", probe)
 
 
 class TestExitPath:
@@ -427,7 +396,7 @@ class TestExitPath:
     def test_process_matches_main(self, argv, unbuffered, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         code, out, err = run(capsys, *argv)
-        done = module_run(argv, unbuffered)
+        done = python("-m", "motzkin.cli", *argv, unbuffered=unbuffered)
         assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
 
     def test_atexit_handlers_run_and_no_teardown_follows(self):
@@ -477,18 +446,24 @@ class TestExitPath:
         done = script_run(setup, ["numbers", "--max", "3"])
         assert (done.returncode, done.stdout, done.stderr) == (3, b"", b"error: INTERNAL: probe fault\n")
 
+    @pytest.mark.parametrize("closed", [1, 2], ids=["stdout", "stderr"])
     @pytest.mark.parametrize("argv, status", [(["numbers", "--max", "3"], 0), (["rank", "--word", "00"], 1)])
-    def test_no_stderr_keeps_the_status(self, argv, status):
-        # Started without descriptor 2, the process has sys.stderr None.
-        done = subprocess.run(
-            [sys.executable, "-m", "motzkin.cli", *argv],
-            env=module_env(),
-            stdout=subprocess.DEVNULL,
-            preexec_fn=lambda: os.close(2),
-            check=False,
-            timeout=120,
-        )
+    def test_no_stderr_keeps_the_status(self, argv, status, closed):
+        # Started without descriptor 1 or 2, the process has sys.stdout or
+        # sys.stderr None; either way it ends with the status and no traceback.
+        done = python("-m", "motzkin.cli", *argv, preexec_fn=lambda: os.close(closed))
         assert done.returncode == status
+        assert b"Traceback" not in done.stderr
+
+    # A full device fails the first write when unbuffered; buffered, a
+    # short listing fails only in main's flush. Each ends in one coded line.
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [["numbers", "--max", "3"], ["enumerate", "--length", "12"]])
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_full_device_is_an_output_error(self, argv, unbuffered):
+        with open("/dev/full", "wb") as full:
+            done = python("-m", "motzkin.cli", *argv, unbuffered=unbuffered, stdout=full)
+        assert (done.returncode, done.stderr) == (1, b"error: OUTPUT: No space left on device\n")
 
     def test_failed_flush_falls_back_to_the_interpreter_exit(self):
         # Help text waits in a buffered stdout whose reader is gone. The
@@ -497,13 +472,7 @@ class TestExitPath:
         read, write = os.pipe()
         os.close(read)
         try:
-            done = subprocess.run(
-                [sys.executable, "-m", "motzkin.cli", "--help"],
-                env=module_env(),
-                stdout=write,
-                stderr=subprocess.PIPE,
-                timeout=120,
-            )
+            done = python("-m", "motzkin.cli", "--help", stdout=write)
         finally:
             os.close(write)
         assert done.returncode == 120
@@ -537,14 +506,7 @@ def loaded_after(probe):
     """Run ``probe`` under ``python -S`` (no site preloads) and return the
     set of module names it prints."""
     script = f"import sys\n{probe}\nprint(' '.join(sys.modules))"
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", script],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-    )
+    result = python("-S", "-c", script, text=True, check=True)
     return frozenset(result.stdout.split())
 
 

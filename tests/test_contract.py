@@ -12,8 +12,9 @@ argparse's wording may change between patches.
 import hashlib
 
 import pytest
+from support import run
 
-from motzkin import cli, sequences
+from motzkin import sequences
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 LONG_WORD = "(" + "(0)" * 130 + "0()" * 3 + ")"
@@ -129,6 +130,5 @@ def case_id(command: str) -> str:
 
 @pytest.mark.parametrize("command, code, out_digest, err_digest", CASES, ids=[case_id(case[0]) for case in CASES])
 def test_output_is_unchanged(capsys, command, code, out_digest, err_digest):
-    status = cli.main(command.split())
-    captured = capsys.readouterr()
-    assert (status, digest(captured.out), digest(captured.err)) == (code, out_digest, err_digest)
+    status, out, err = run(capsys, *command.split())
+    assert (status, digest(out), digest(err)) == (code, out_digest, err_digest)

@@ -7,15 +7,13 @@ sides call only the shared functions its allowlist names."""
 import ast
 import json
 import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from support import python
 
 from motzkin import ranking, verify, words
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 # The one thing the listing takes from ranking: the alphabet's three
 # one-character strings, which words binds from there so that each is
@@ -65,14 +63,7 @@ print(json.dumps({"results": results, "modules": sorted(sys.modules)}))
 
 
 def test_ranking_loads_no_listing():
-    result = subprocess.run(
-        [sys.executable, "-c", COLD_CALLS],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-    )
+    result = python("-c", COLD_CALLS, text=True, check=True)
     report = json.loads(result.stdout)
     assert report["results"] == [
         2,

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from support import formal_derivative
 
 from motzkin import DegenerateFractionError, InternalError, ZeroDenominatorError
 from motzkin import sequences
-from motzkin.series import NAT_FORMS, TruncatedSeries, nat_series
+from motzkin.series import NAT_FORMS, nat_series
 from motzkin.symdiff import (
     HALF_DERIVATIVE,
     RADICAND,
@@ -31,11 +32,6 @@ def random_fraction(rng, max_degree=3, span=6):
         f = SqrtFraction(poly(), poly(), poly(), poly())
         if f.c.at_zero() + f.d.at_zero() != 0:
             return f
-
-
-def formal_derivative(series):
-    coeffs = series.coefficients
-    return TruncatedSeries(tuple((n + 1) * coeffs[n + 1] for n in range(len(coeffs) - 1)))
 
 
 class TestIntPoly:

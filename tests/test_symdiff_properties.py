@@ -6,18 +6,13 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
+from support import formal_derivative
 
-from motzkin.series import TruncatedSeries
 from motzkin.symdiff import DerivativeCursor, fraction_series, initial_fraction
 
 MAX_PASSES = 30
 MAX_ORDER = 8
 PROPERTY = settings(deadline=None, database=None)
-
-
-def formal_derivative(series):
-    coeffs = series.coefficients
-    return TruncatedSeries((n + 1) * coeffs[n + 1] for n in range(len(coeffs) - 1))
 
 
 @PROPERTY

@@ -8,6 +8,7 @@ mutant: the table only grows.
 """
 
 import pytest
+from support import run
 
 from motzkin import InternalError, cli, ranking, sequences, series, symdiff, words
 
@@ -261,12 +262,11 @@ def test_mutant_fails_its_lines(monkeypatch, capsys, mutant, failing):
         assert {name for name, ok, _ in cli.verification_checks(12) if not ok} == failing
     # The same mutant through the command line: exit 2 and exactly its
     # FAIL lines, or exit 3 and an INTERNAL error line.
-    status = cli.main(["verify", "--max", "12"])
-    captured = capsys.readouterr()
+    status, out, err = run(capsys, "verify", "--max", "12")
     if failing is None:
         assert status == 3
-        assert captured.err.startswith("error: INTERNAL: ")
+        assert err.startswith("error: INTERNAL: ")
     else:
         assert status == 2
-        fail_lines = [line.split()[1] for line in captured.out.splitlines() if line.startswith("FAIL ")]
+        fail_lines = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")]
         assert sorted(fail_lines) == sorted(failing)

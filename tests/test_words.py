@@ -1,16 +1,14 @@
 import gc
 import json
-import os
 import random
-import subprocess
 import sys
 import time
 import tracemalloc
 from collections import Counter
 from itertools import accumulate, product
-from pathlib import Path
 
 import pytest
+from support import python
 
 from motzkin import (
     BadSymbolError,
@@ -23,8 +21,6 @@ from motzkin import (
     UnbalancedError,
 )
 from motzkin import cli, ranking, sequences, words
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def brute_force_words(n):
@@ -156,15 +152,7 @@ def run_fresh(script, arg, payload):
     """Run ``script`` in a new interpreter, whose completion table starts
     cold, with ``arg`` in argv and ``payload`` as JSON on stdin; return the
     JSON it prints."""
-    result = subprocess.run(
-        [sys.executable, "-c", script, arg],
-        input=json.dumps(payload),
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-    )
+    result = python("-c", script, arg, input=json.dumps(payload), text=True, check=True)
     return json.loads(result.stdout)
 
 
