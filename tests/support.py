@@ -2,15 +2,21 @@
 support import ...``; ``tests/`` is not a package, so pytest puts it on
 the path.
 
-Every child interpreter in the suite starts through ``python``: this
-interpreter, ``src`` on its path, and a timeout, decided here once."""
+``motzkin.ranking`` keeps one completion table for the life of the
+process, and it only grows. A test that needs the table a fresh process
+starts with calls ``cold(monkeypatch)``, which installs ``cold_table()``
+for that test alone. A test starts a child interpreter only to observe
+what only a process shows: its exit status and streams, the modules it
+loads, its memory peak, or the state it starts with. Every child starts
+through ``python``: this interpreter, ``src`` on its path, and a
+timeout, decided here once."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from motzkin import cli
+from motzkin import cli, ranking
 from motzkin.series import TruncatedSeries
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -33,6 +39,19 @@ def python(*args, unbuffered=False, **kwargs):
     kwargs.setdefault("stdout", subprocess.PIPE)
     kwargs.setdefault("stderr", subprocess.PIPE)
     return subprocess.run([sys.executable, *args], env=child_env(unbuffered), timeout=120, **kwargs)
+
+
+def cold_table():
+    """A new completion table at length 0, as a fresh process holds it."""
+    return [[1], []]
+
+
+def cold(monkeypatch):
+    """Install ``cold_table()`` as ``ranking``'s completion table until the
+    test ends, and return it."""
+    table = cold_table()
+    monkeypatch.setattr(ranking, "_COLUMNS", table)
+    return table
 
 
 def run(capsys, *argv):

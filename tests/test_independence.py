@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from support import python
+from support import cold, python
 
 from motzkin import ranking, verify, words
 
@@ -164,6 +164,6 @@ def test_sides_share_only_their_allowlist(monkeypatch, index):
     # table, so no table built by another side hides a call.
     calls = []
     for side in (1, 2):
-        monkeypatch.setattr(ranking, "_COLUMNS", [[1], []])
+        cold(monkeypatch)
         calls.append(package_calls(list(verify._lines(24))[index][side]))
     assert calls[0] & calls[1] == set(SHARED[LINES[index]])

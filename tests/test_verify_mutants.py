@@ -8,7 +8,7 @@ mutant: the table only grows.
 """
 
 import pytest
-from support import run
+from support import cold, run
 
 from motzkin import InternalError, cli, ranking, sequences, series, symdiff, words
 
@@ -46,7 +46,7 @@ def wrong_completion_row(monkeypatch):
     # Start the shared table cold, so the run builds every entry through
     # the mutant.
     original = ranking._grow
-    monkeypatch.setattr(ranking, "_COLUMNS", [[1], []])
+    cold(monkeypatch)
 
     def grow(length, depth=0):
         built = len(ranking._COLUMNS[0])
@@ -68,7 +68,7 @@ def wrong_table_seed(monkeypatch):
     # the pad entry c(4, 3) reads 2.
     original = ranking._grow
     numbers = sequences.motzkin_numbers
-    monkeypatch.setattr(ranking, "_COLUMNS", [[1], []])
+    cold(monkeypatch)
 
     def grow(length, depth=0):
         with monkeypatch.context() as table_only:
@@ -114,7 +114,7 @@ def wrong_last_motzkin_number(monkeypatch):
     # table is grown first, with the true numbers, to all that the round
     # trip reads: length 10 and depth 6, one past the deepest word of
     # length 10. So no growth reads a wrong M_L.
-    monkeypatch.setattr(ranking, "_COLUMNS", [[1], []])
+    cold(monkeypatch)
     ranking._grow(10, 6)
     original = sequences.motzkin_numbers
     monkeypatch.setattr(sequences, "motzkin_numbers", lambda n_max: _bump(original(n_max), n_max))
@@ -125,7 +125,7 @@ def wrong_last_motzkin_number_on_a_cold_table(monkeypatch):
     # the table grows to reads a wrong M_L, and the pad check refuses the
     # first growth, c(1, 0) = 2.
     wrong_last_motzkin_number(monkeypatch)
-    monkeypatch.setattr(ranking, "_COLUMNS", [[1], []])
+    cold(monkeypatch)
 
 
 def wrong_convolution_value(monkeypatch):

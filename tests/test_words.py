@@ -2,13 +2,15 @@ import gc
 import json
 import random
 import sys
+import threading
 import time
 import tracemalloc
 from collections import Counter
 from itertools import accumulate, product
 
 import pytest
-from support import python
+import support
+from support import cold_table, python
 
 from motzkin import (
     BadSymbolError,
@@ -89,11 +91,6 @@ def reference_rows(n):
     return rows
 
 
-def cold_table():
-    """A new completion table at length 0, as a fresh process holds it."""
-    return [[1], []]
-
-
 def table_layout(top, depth):
     """The exact completion table at length ``top`` and depth bound
     ``depth``: column h = 0..depth holds c(h, 0), ..., c(h, top - h), pad
@@ -148,12 +145,18 @@ def reference_unrank(index, rows):
     return "".join(symbols)
 
 
-def run_fresh(script, arg, payload):
-    """Run ``script`` in a new interpreter, whose completion table starts
-    cold, with ``arg`` in argv and ``payload`` as JSON on stdin; return the
-    JSON it prints."""
-    result = python("-c", script, arg, input=json.dumps(payload), text=True, check=True)
+def run_fresh(function, argument):
+    """Run PEAK_PROBE in a new interpreter on ``words.<function>`` and
+    ``argument``; return its report: the result, the seconds the call took
+    and the peak RSS in MB."""
+    result = python("-c", PEAK_PROBE, function, input=json.dumps(argument), text=True, check=True)
     return json.loads(result.stdout)
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """The completion table a fresh process holds, installed for this test."""
+    return support.cold(monkeypatch)
 
 
 # validate's verdicts as first recorded: the error type and message of
@@ -197,20 +200,6 @@ RANK_VERDICTS = [
     ("(" * 1001, NotUniqueError, f"not a Motzkin word: 1001 unmatched '(' in {'(' * 1001!r}"),
     ("0" * 1001, NotUniqueError, f"{'0' * 1001!r} has no position in the series"),
 ]
-
-# Ranks each word read from stdin on a cold table; reports each error
-# type and the table afterwards.
-GROWTH_PROBE = """
-import json, sys
-from motzkin import MotzkinError, ranking, words
-errors = []
-for word in json.load(sys.stdin):
-    try:
-        words.rank(word)
-    except MotzkinError as exc:
-        errors.append(type(exc).__name__)
-print(json.dumps({"errors": errors, "columns": ranking._COLUMNS}))
-"""
 
 
 class TestValidate:
@@ -266,11 +255,10 @@ class TestCompletionCount:
     def test_single_close(self):
         assert ranking.completion_count(1, 1) == 1
 
-    def test_brute_force(self, monkeypatch):
+    def test_brute_force(self, cold):
         # Oracle: walk every suffix of each length once; a suffix finishes
         # from depth h when its running sum never falls below -h and ends
         # at -h. Every pair with depth + remaining <= 12, from a cold table.
-        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         for remaining in range(13):
             finishing = Counter()
             for suffix in product((0, 1, -1), repeat=remaining):
@@ -279,28 +267,26 @@ class TestCompletionCount:
                 expected = sum(count for (end, low), count in finishing.items() if end == depth and low <= depth)
                 assert ranking.completion_count(depth, remaining) == expected
 
-    def test_unreachable_depth(self, monkeypatch):
+    def test_unreachable_depth(self, cold):
         # A depth above the symbols left counts 0 at any size, and builds
         # nothing. Nor does a read that the cold table already holds.
-        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         for depth, remaining in [(5, 3), (1, 0), (ranking.RANK_LIMIT + 1, ranking.RANK_LIMIT), (10**6, 2)]:
             assert ranking.completion_count(depth, remaining) == 0
-        assert ranking._COLUMNS == cold_table()
+        assert ranking._COLUMNS is cold == cold_table()
         assert (ranking.completion_count(0, 0), ranking.unrank(0)) == (1, "0")
-        assert ranking._COLUMNS == cold_table()
+        assert ranking._COLUMNS is cold == cold_table()
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ranking.completion_count(-1, 3)
 
     @pytest.mark.parametrize("depth, remaining", [(2.5, 1), (5.0, 1.0), (1.0, 5.0), (0, 4.0)])
-    def test_rejects_a_float(self, depth, remaining, monkeypatch):
+    def test_rejects_a_float(self, depth, remaining, cold):
         # The first two once counted 0 and the third failed inside
         # sequences; none may build anything.
-        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             ranking.completion_count(depth, remaining)
-        assert ranking._COLUMNS == cold_table()
+        assert ranking._COLUMNS is cold == cold_table()
 
     def test_limit(self):
         # A state at depth h with r symbols left lies on a word of at least
@@ -384,12 +370,11 @@ class TestRank:
         assert str(caught.value) == message
 
     @pytest.mark.parametrize("table", ["cold", "warm", "deep"])
-    def test_matches_the_checked_walk_on_every_short_string(self, table, monkeypatch):
+    def test_matches_the_checked_walk_on_every_short_string(self, table, cold):
         # Every string over "0()x" of length <= 8, against classify and
         # then the block-sum walk; a cold table starts each call at length 0.
         # A deep table covers every depth these words reach, so no read
         # past it hides an open end: the end depth alone refuses "((".
-        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         rows = reference_rows(8)
         if table == "warm":
             ranking.completion_count(0, 8)
@@ -400,21 +385,22 @@ class TestRank:
             for symbols in product("0()x", repeat=n):
                 word = "".join(symbols)
                 if table == "cold":
-                    ranking._COLUMNS = cold_table()
+                    # A plain reset: the fixture's monkeypatch restores the
+                    # table after the test, with no undo entry per word.
+                    ranking._COLUMNS = before = cold_table()
                 expected = checked_walk_verdict(word, rows)
                 try:
                     assert words.rank(word) == expected
                 except MotzkinError as exc:
                     assert (type(exc), str(exc)) == expected
                     if table == "cold":
-                        assert ranking._COLUMNS == cold_table()
+                        assert ranking._COLUMNS is before == cold_table()
                     if table == "deep":
                         assert ranking._COLUMNS is before
 
     @pytest.mark.parametrize("word, calls", [("((()))", [(6, 4)]), ("(0)", [(3, 2)])])
-    def test_cold_rank_grows_the_table_once(self, word, calls, monkeypatch):
+    def test_cold_rank_grows_the_table_once(self, word, calls, cold, monkeypatch):
         # One growth, to the word's length and one past its deepest depth.
-        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         original = ranking._grow
         seen = []
 
@@ -426,9 +412,12 @@ class TestRank:
         assert words.rank(word) == reference_rank(word, reference_rows(len(word)))
         assert seen == calls
 
-    def test_malformed_words_grow_no_table(self):
-        report = run_fresh(GROWTH_PROBE, "", [")(" * 500, "(" * 999 + "0"])
-        assert report == {"errors": ["NotUniqueError"] * 2, "columns": cold_table()}
+    def test_malformed_words_grow_no_table(self, cold):
+        for word in (")(" * 500, "(" * 999 + "0"):
+            with pytest.raises(MotzkinError) as caught:
+                words.rank(word)
+            assert type(caught.value) is NotUniqueError
+        assert ranking._COLUMNS is cold == cold_table()
 
     def test_closing_runs_match_the_reference_walk(self):
         # In each of these words a ')' runs at one more depth than the
@@ -443,10 +432,9 @@ class TestRank:
                     assert words.rank(word) == reference_rank(word, rows)
 
     @pytest.mark.parametrize("table", ["cold", "warm", "deep"])
-    def test_unclosable_zero_is_refused(self, table, monkeypatch):
+    def test_unclosable_zero_is_refused(self, table, cold):
         # The second '0' leaves 300 open with 299 symbols left.
         word = "(" * 300 + "00" + ")" * 299
-        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         if table == "warm":
             ranking.completion_count(0, len(word))
         if table == "deep":
@@ -456,7 +444,7 @@ class TestRank:
             words.rank(word)
         assert str(caught.value) == f"not a Motzkin word: 1 unmatched '(' in {word!r}"
         if table == "cold":
-            assert ranking._COLUMNS == cold_table()
+            assert ranking._COLUMNS is cold == cold_table()
         elif table == "warm":
             # The walk read past depth 1, but the word builds no column.
             assert len(ranking._COLUMNS) == 2
@@ -473,60 +461,34 @@ class TestRank:
 
 class TestUnrank:
     @pytest.mark.parametrize("table", ["cold", "warm"])
-    def test_rejects_a_float(self, table, monkeypatch):
+    def test_rejects_a_float(self, table, cold):
         # A warm table once answered 8.9 with the word at index 8.
-        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         if table == "warm":
             ranking.completion_count(0, 4)
         with pytest.raises(TypeError):
             words.unrank(8.9)
         if table == "cold":
-            assert ranking._COLUMNS == cold_table()
+            assert ranking._COLUMNS is cold == cold_table()
 
-    def test_cold_call_builds_the_table_to_its_length(self):
+    def test_cold_call_builds_the_table_to_its_length(self, cold):
         # unrank reads the length off the stream of Motzkin numbers, and the
         # table grows to that length and to each depth the walk reaches.
         index = sequences.motzkin_numbers(400)[-1] - 1
-        report = run_fresh(COLD_UNRANK_PROBE, str(index), None)
-        assert report["word"] == words.unrank(index)
-        assert len(report["word"]) == 400
-        assert report["columns"] == table_layout(400, len(report["columns"]) - 1)
+        word = words.unrank(index)
+        assert word == reference_unrank(index, reference_rows(400))
+        assert len(word) == 400
+        assert ranking._COLUMNS == table_layout(400, len(ranking._COLUMNS) - 1)
 
-    def test_cold_call_builds_one_motzkin_table(self, monkeypatch):
+    def test_cold_call_builds_one_motzkin_table(self, cold, monkeypatch):
         # Column 0 is the one table of Motzkin numbers a cold unrank
         # builds; the length comes from the stream, which holds none.
         index = sequences.motzkin_numbers(400)[-1] - 1
         calls = []
         original = sequences.motzkin_numbers
         monkeypatch.setattr(sequences, "motzkin_numbers", lambda n_max: calls.append(n_max) or original(n_max))
-        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         assert len(words.unrank(index)) == 400
         assert calls == [400]
 
-
-# Unranks the index in argv[1] on a cold table; reports the word and the
-# table.
-COLD_UNRANK_PROBE = """
-import json, sys
-from motzkin import ranking, words
-word = words.unrank(int(sys.argv[1]))
-print(json.dumps({"word": word, "columns": ranking._COLUMNS}))
-"""
-
-
-# Unranks each index read from stdin on a cold table; reports each
-# LimitExceededError message and the table afterwards.
-FAR_INDEX_PROBE = """
-import json, sys
-from motzkin import LimitExceededError, ranking, words
-messages = []
-for index in json.load(sys.stdin):
-    try:
-        words.unrank(index)
-    except LimitExceededError as exc:
-        messages.append(str(exc))
-print(json.dumps({"messages": messages, "columns": ranking._COLUMNS}))
-"""
 
 # Calls words.<argv[1]> on the argument read from stdin on a cold table;
 # prints its result, the seconds it took and the peak RSS of the process
@@ -561,13 +523,15 @@ class TestRankLimit:
         assert len(last) == ranking.RANK_LIMIT
         assert words.rank(last) == motzkin[-1] - 1
 
-    def test_unrank_refuses_far_indexes_without_building(self):
+    def test_unrank_refuses_far_indexes_without_building(self, cold):
         # Every index of M_RANK_LIMIT or more is refused without growing the
         # table.
         first_refused = sequences.motzkin_numbers(ranking.RANK_LIMIT)[-1]
-        report = run_fresh(FAR_INDEX_PROBE, "", [10**3000, 3**ranking.RANK_LIMIT, first_refused])
-        message = "length 1001 exceeds the rank bound 1000"
-        assert report == {"messages": [message] * 3, "columns": cold_table()}
+        for index in (10**3000, 3**ranking.RANK_LIMIT, first_refused):
+            with pytest.raises(LimitExceededError) as caught:
+                words.unrank(index)
+            assert str(caught.value) == "length 1001 exceeds the rank bound 1000"
+        assert ranking._COLUMNS is cold == cold_table()
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_unrank_at_the_limit_peaks_below_60_mb(self):
@@ -575,14 +539,14 @@ class TestRankLimit:
         # 84.3 MB of process with whole rows, about 46 MB with the rows cut
         # to what a walk can read.
         last = sequences.motzkin_numbers(ranking.RANK_LIMIT)[-1] - 1
-        assert run_fresh(PEAK_PROBE, "unrank", last)["peak_mb"] < 60
+        assert run_fresh("unrank", last)["peak_mb"] < 60
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_unrank_of_the_last_index_peaks_below_20_mb(self):
         # M_1000 - 1 is "()()...()", which reads depth 2 at most, so its
         # table holds three counts a row.
         last = sequences.motzkin_numbers(ranking.RANK_LIMIT)[-1] - 1
-        report = run_fresh(PEAK_PROBE, "unrank", last)
+        report = run_fresh("unrank", last)
         assert report["result"] == "()" * (ranking.RANK_LIMIT // 2)
         assert report["peak_mb"] < 20
 
@@ -590,79 +554,35 @@ class TestRankLimit:
     def test_deepest_word_peaks_below_60_mb(self):
         # The deepest word at the bound needs every depth, the largest table
         # either walk can build; each direction from a cold table.
-        ranked = run_fresh(PEAK_PROBE, "rank", DEEPEST_WORD)
-        unranked = run_fresh(PEAK_PROBE, "unrank", ranked["result"])
+        ranked = run_fresh("rank", DEEPEST_WORD)
+        unranked = run_fresh("unrank", ranked["result"])
         assert unranked["result"] == DEEPEST_WORD
         for report in (ranked, unranked):
             assert report["peak_mb"] < 60
             assert report["seconds"] < 0.5
 
 
-# Ranks and unranks one word and one index per length, in the order of
-# argv[1] and then in the reverse order, from a cold table.
-ORDER_PROBE = """
-import json, sys
-from motzkin import words
-cases = json.load(sys.stdin)
-def run(descending):
-    ordered = sorted(cases, reverse=descending)
-    return sorted([n, words.rank(w), words.unrank(i)] for n, w, i in ordered)
-first = sys.argv[1] == "descending"
-print(json.dumps([run(first), run(not first)]))
-"""
-
-# Four threads start together on a cold table and rank/unrank at
-# interleaved lengths; reports their results and the final table shape.
-THREAD_PROBE = """
-import json, sys, threading
-from motzkin import ranking, sequences, words
-jobs = json.load(sys.stdin)
-results = [None] * len(jobs)
-barrier = threading.Barrier(len(jobs))
-def work(t):
-    barrier.wait()
-    results[t] = [words.rank(a) if op == "rank" else words.unrank(a) for op, a in jobs[t]]
-threads = [threading.Thread(target=work, args=(t,)) for t in range(len(jobs))]
-interval = sys.getswitchinterval()
-sys.setswitchinterval(1e-6)
-try:
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-finally:
-    sys.setswitchinterval(interval)
-top = int(sys.argv[1])
-print(json.dumps({
-    "alive": sum(thread.is_alive() for thread in threads),
-    "results": results,
-    "columns": ranking._COLUMNS,
-    "depth": len(ranking._COLUMNS) - 1,
-    "counts_ok": [ranking.completion_count(0, n) for n in range(top + 1)] == sequences.motzkin_numbers(top),
-}))
-"""
-
-# Ranks "(0...0)" at every length 2..argv[1] in ascending order from a
-# cold table, so each call grows the table by one length; prints the
-# seconds the calls took.
-ASCENDING_PROBE = """
-import sys, time
-from motzkin import words
-batch = ["(" + "0" * (n - 2) + ")" for n in range(2, int(sys.argv[1]) + 1)]
-start = time.perf_counter()
-for word in batch:
-    words.rank(word)
-print(time.perf_counter() - start)
-"""
-
-
 class TestSharedTable:
-    def test_call_order_does_not_matter(self):
+    def test_a_fresh_process_holds_the_cold_table(self):
+        # The table the cold fixture installs is the one a process starts with.
+        done = python("-c", "from motzkin import ranking; print(ranking._COLUMNS)", text=True, check=True)
+        assert done.stdout == f"{cold_table()!r}\n"
+
+    def test_call_order_does_not_matter(self, monkeypatch):
+        # From a cold table, one word and one index per length, descending
+        # and then ascending; from a cold table again, the other way round.
         rng = random.Random(300)
         motzkin = sequences.motzkin_numbers(300)
         lengths = range(20, 301, 20)
         cases = [[n, random_unique_word(rng, n), rng.randrange(motzkin[n - 1], motzkin[n])] for n in lengths]
-        runs = run_fresh(ORDER_PROBE, "descending", cases) + run_fresh(ORDER_PROBE, "ascending", cases)
+
+        def run(descending):
+            return sorted([n, words.rank(w), words.unrank(i)] for n, w, i in sorted(cases, reverse=descending))
+
+        runs = []
+        for first in (True, False):
+            support.cold(monkeypatch)
+            runs += [run(first), run(not first)]
         assert all(run == runs[0] for run in runs)
         for (n, word, index), (length, position, unranked) in zip(cases, runs[0]):
             assert length == n
@@ -671,7 +591,9 @@ class TestSharedTable:
             assert words.rank(unranked) == index
             assert words.unrank(position) == word
 
-    def test_concurrent_growth(self):
+    def test_concurrent_growth(self, cold):
+        # Four threads start together on a cold table and rank/unrank at
+        # interleaved lengths.
         rng = random.Random(400)
         motzkin = sequences.motzkin_numbers(400)
         lengths = list(range(20, 401, 20))
@@ -683,21 +605,40 @@ class TestSharedTable:
                 calls.append(["unrank", rng.randrange(motzkin[n - 1], motzkin[n])])
                 calls.append(["rank", random_unique_word(rng, n)])
             jobs.append(calls)
-        report = run_fresh(THREAD_PROBE, "400", jobs)
-        assert report["alive"] == 0
-        expected = [[words.rank(a) if op == "rank" else words.unrank(a) for op, a in calls] for calls in jobs]
-        assert report["results"] == expected
+        results = [None] * len(jobs)
+        barrier = threading.Barrier(len(jobs))
+
+        def work(t):
+            barrier.wait()
+            results[t] = [words.rank(a) if op == "rank" else words.unrank(a) for op, a in jobs[t]]
+
+        # Daemon threads, so one that hangs fails the test without holding
+        # the test run open.
+        threads = [threading.Thread(target=work, args=(t,), daemon=True) for t in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        columns = ranking._COLUMNS
+        rows = reference_rows(400)
+        expected = [[reference_rank(a, rows) if op == "rank" else reference_unrank(a, rows) for op, a in calls] for calls in jobs]
+        assert results == expected
         # The depth bound is one past the deepest depth of any word walked.
-        walked = [a if op == "rank" else word for calls, results in zip(jobs, expected) for (op, a), word in zip(calls, results)]
-        assert report["depth"] == 1 + max(map(deepest, walked))
-        assert report["columns"] == table_layout(400, report["depth"])
-        assert report["counts_ok"]
+        walked = [a if op == "rank" else word for calls, answers in zip(jobs, expected) for (op, a), word in zip(calls, answers)]
+        assert len(columns) - 1 == 1 + max(map(deepest, walked))
+        assert columns == table_layout(400, len(columns) - 1)
+        assert [ranking.completion_count(0, n) for n in range(401)] == motzkin
 
     @pytest.mark.parametrize("order", ["length-first", "depth-first", "interleaved"])
-    def test_growth_order_does_not_change_the_table(self, order, monkeypatch):
+    def test_growth_order_does_not_change_the_table(self, order, cold):
         # Lengths and depths grow down from M_n in one routine; whatever the
         # order, every entry held must be the upward build's.
-        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         top, depth = 60, 20
         if order == "length-first":
             steps = [(top, 1), (top, depth)]
@@ -712,11 +653,10 @@ class TestSharedTable:
             ranking._grow(length, deepest_read)
             assert ranking._COLUMNS == table_layout(length, deepest_read)
 
-    def test_deepening_keeps_the_columns_it_holds(self, monkeypatch):
+    def test_deepening_keeps_the_columns_it_holds(self, cold):
         # unrank deepens the table one column at a time inside its walk, so
         # a growth in depth alone must reuse every column it holds, not copy
         # it, and a request the table covers must return it unchanged.
-        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         shallow = ranking._grow(60, 3)
         deep = ranking._grow(60, 8)
         assert all(deep[h] is shallow[h] for h in range(4))
@@ -724,7 +664,7 @@ class TestSharedTable:
         assert ranking._grow(40, 2) is deep
 
     @pytest.mark.parametrize("first", ["", "(((())))"], ids=["by-column", "by-diagonal"])
-    def test_wrong_motzkin_number_fails_a_pad(self, first, monkeypatch, capsys):
+    def test_wrong_motzkin_number_fails_a_pad(self, first, cold, monkeypatch, capsys):
         # The table starts each length from M_n and counts down; with M_9
         # one too high, the first pad entry that reads it is 1. From a cold
         # table, deepening to depth 6 at length 10 finds it; after a word of
@@ -733,7 +673,6 @@ class TestSharedTable:
         original = sequences.motzkin_numbers
         monkeypatch.setattr(sequences, "motzkin_numbers", lambda n_max: [m + (n == 9) for n, m in enumerate(original(n_max))])
         word = "(" * 5 + ")" * 5
-        monkeypatch.setattr(ranking, "_COLUMNS", cold_table())
         if first:
             words.rank(first)
         else:
@@ -749,12 +688,18 @@ class TestSharedTable:
         assert cli.main(["rank", "--word", word]) == 3
         assert capsys.readouterr().err.startswith("error: INTERNAL: ")
 
-    def test_ascending_growth_is_cheap(self):
+    def test_ascending_growth_is_cheap(self, cold):
+        # "(0...0)" at every length up to the bound, in ascending order from
+        # a cold table, so each call grows the table by one length.
         # 0.47-0.49 s on a 2-CPU VM, 0.31 s of it in the one
         # motzkin_numbers call that starts each new length; the upward
         # running sum took 0.16-0.24 s, whole rows 0.24-0.31 s, and a
         # table that copied each row to extend it 1.1-1.5 s.
-        assert run_fresh(ASCENDING_PROBE, str(ranking.RANK_LIMIT), None) < 1
+        batch = ["(" + "0" * (n - 2) + ")" for n in range(2, ranking.RANK_LIMIT + 1)]
+        start = time.perf_counter()
+        for word in batch:
+            words.rank(word)
+        assert time.perf_counter() - start < 1
 
     def test_batch_calls_reuse_the_table(self):
         # Rebuilding the O(n^2) table on every call took about 2 s for this

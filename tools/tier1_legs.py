@@ -6,7 +6,8 @@ interpreter that runs this script load on the others. So this script
 links those packages into a temporary directory outside the repository,
 puts it on ``PYTHONPATH`` after ``src``, and runs two legs on each
 interpreter found under ``~/.pyenv/versions/3.1[1-9]*``: tier-1, and
-tier-1 with ``-X dev -W error``. It prints one line per leg, then
+tier-1 with ``-X dev -W error``, both without a bytecode cache, as in
+CI. It prints one line per leg, then
 pytest's ``FAILED`` and ``ERROR`` summary lines of that leg, and exits 1
 if any leg fails, 2 if no interpreter or package is found.
 
@@ -61,7 +62,9 @@ def main() -> int:
         for pattern in PACKAGES:
             for source in site.glob(pattern):
                 os.symlink(source, Path(packages) / source.name)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), packages])}
+        # No bytecode cache, as in CI: every child compiles from source, which
+        # the memory-peak tests assume, and the repository stays clean.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), packages]), "PYTHONDONTWRITEBYTECODE": "1"}
         for python in interpreters:
             version = python.parent.parent.name
             for leg, arguments in LEGS.items():
