@@ -26,7 +26,6 @@ _SUBMODULES = {
     "content_reduce": "symdiff",
     "derivative_step": "symdiff",
     "evaluate_at_zero": "symdiff",
-    "fraction_series": "symdiff",
     "initial_fraction": "symdiff",
     "nat_coefficients": "symdiff",
     "ENUMERATION_LIMIT": "words",

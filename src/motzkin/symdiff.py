@@ -49,10 +49,10 @@ Every product is by s, r, t or an integer, degrees grow linearly in k
 and no step divides.
 
 ``nat_coefficients`` stays in the ints: it divides the value at zero by
-``k!`` with ``divmod`` and checks the remainder. ``fractions`` is imported
-only where a ``Fraction`` is formed (``evaluate_at_zero`` and the error
-message of a pass that is not a natural number), and ``series`` only
-inside ``fraction_series``, so ``nat_coefficients`` loads neither.
+``k!`` with ``divmod`` and checks the remainder. This module never loads
+``series``, and it imports ``fractions`` only where a ``Fraction`` is
+formed (``evaluate_at_zero`` and the error message of a pass that is not
+a natural number), so ``nat_coefficients`` loads neither.
 """
 
 from __future__ import annotations
@@ -63,13 +63,11 @@ from collections.abc import Iterable
 
 from .errors import DegenerateFractionError, InternalError, ZeroDenominatorError
 
-# Type checkers read this block as true; at run time the annotations
-# that name ``Fraction`` and ``TruncatedSeries`` are never evaluated, so nothing loads here.
+# Type checkers read this block as true; at run time the annotation
+# that names ``Fraction`` is never evaluated, so nothing loads here.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
-
-    from .series import TruncatedSeries
 
 
 class IntPoly:
@@ -278,17 +276,3 @@ def nat_coefficients(k_max: int) -> list[int]:
         out.append(value)
     return out
 
-
-def fraction_series(fraction: SqrtFraction, order: int) -> TruncatedSeries:
-    """Expand a fraction as a truncated power series by substituting the
-    series square root for W; independent check on the symbolic cycle."""
-    from .series import TruncatedSeries
-
-    root = TruncatedSeries.from_coefficients(RADICAND.coefficients, order).sqrt()
-
-    def lift(poly: IntPoly) -> TruncatedSeries:
-        return TruncatedSeries.from_coefficients(poly.coefficients, order)
-
-    numerator = lift(fraction.a) + lift(fraction.b) * root
-    denominator = lift(fraction.c) + lift(fraction.d) * root
-    return numerator / denominator

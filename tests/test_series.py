@@ -156,6 +156,25 @@ class TestNatSeries:
     def test_forms_agree(self, order):
         assert nat_series(order, "product") == nat_series(order, "linear")
 
+    def test_each_form_multiplies_its_own_operands(self, monkeypatch):
+        # Both forms make the same number of coefficient products, since
+        # 1 - x is padded to the order, so the operands tell them apart:
+        # the product form squares M, the linear form takes (1 - x) * M.
+        m = motzkin_series(12, "functional").coefficients
+        multiply = TruncatedSeries.__mul__
+        products = []
+
+        def recording(self, other):
+            products.append((self.coefficients, other.coefficients))
+            return multiply(self, other)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", recording)
+        nat_series(12, "product")
+        assert products == [(m, m)]
+        products.clear()
+        nat_series(12, "linear")
+        assert products == [((1, -1) + (0,) * 11, m)]
+
     def test_rejects_bad_form(self):
         with pytest.raises(ValueError):
             nat_series(4, "quotient")

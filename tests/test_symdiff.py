@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference import fraction_series
 from support import formal_derivative
 
 from motzkin import DegenerateFractionError, InternalError, ZeroDenominatorError
@@ -16,7 +17,6 @@ from motzkin.symdiff import (
     content_reduce,
     derivative_step,
     evaluate_at_zero,
-    fraction_series,
     initial_fraction,
     nat_coefficients,
 )

@@ -663,6 +663,29 @@ class TestSharedTable:
         assert deep == table_layout(60, 8)
         assert ranking._grow(40, 2) is deep
 
+    def test_a_growth_in_length_keeps_the_depth_bound(self, cold):
+        # A shallow request that grows the length must extend every column
+        # the table holds, not drop the deeper ones.
+        ranking._grow(10, 6)
+        grown = ranking._grow(20)
+        assert len(grown) - 1 == 6
+        assert grown == table_layout(20, 6)
+
+    def test_growth_builds_under_its_lock(self, cold, monkeypatch):
+        # Column 0 is read while the table is built, so recording whether
+        # _GROWING is held then shows a lost lock on every run, where
+        # test_concurrent_growth shows it only when the threads interleave.
+        original = sequences.motzkin_numbers
+        held = []
+
+        def recording(n_max):
+            held.append(ranking._GROWING.locked())
+            return original(n_max)
+
+        monkeypatch.setattr(sequences, "motzkin_numbers", recording)
+        ranking._grow(30, 4)
+        assert held == [True]
+
     @pytest.mark.parametrize("first", ["", "(((())))"], ids=["by-column", "by-diagonal"])
     def test_wrong_motzkin_number_fails_a_pad(self, first, cold, monkeypatch, capsys):
         # The table starts each length from M_n and counts down; with M_9
