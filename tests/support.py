@@ -62,6 +62,27 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def drawn_word(length, pick, prefix="", depth=0):
+    """``prefix``, standing at ``depth``, then ``length`` more symbols, drawn
+    by a walk that never calls into the package: each symbol is the
+    ``pick(k)``-th of the k symbols that can still be closed, in series
+    order. The one drawer of random words for every test file."""
+    symbols = [prefix]
+    for remaining in range(length - 1, -1, -1):
+        allowed = [(s, d) for s, d in (("0", 0), ("(", 1), (")", -1)) if 0 <= depth + d <= remaining]
+        symbol, step = allowed[pick(len(allowed))]
+        symbols.append(symbol)
+        depth += step
+    return "".join(symbols)
+
+
+def cycled(picks):
+    """A ``pick`` for ``drawn_word`` that takes ``picks`` in order, each
+    modulo the count of symbols it chooses among."""
+    picks = iter(picks)
+    return lambda count: next(picks) % count
+
+
 def formal_derivative(series):
     """The term-by-term derivative of a truncated series, one order lower."""
     coeffs = series.coefficients

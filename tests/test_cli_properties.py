@@ -20,21 +20,21 @@ INTS = st.integers(-30, 10**6).map(str)
 ODD_VALUES = st.sampled_from(
     ["", "x", "1.5", "-1.5", "-", "--", "-x", "--max", "-h", " 3", "3 ", "+4", "1_0", "٣", "-٣", "-3\n", "9" * 5000]
 )
-# Each subcommand's flags and the values they take; None marks a switch.
-GRAMMAR = {
-    "numbers": {"--max": INTS, "--bfile": None},
-    "diff": {"--max": INTS, "--method": st.sampled_from(["subtraction", "convolution"]), "--bfile": None},
-    "enumerate": {"--length": INTS, "--filter": st.sampled_from(["all", "unique", "inherited"])},
-    "rank": {"--word": st.sampled_from(["()", "(0)", "0", "0()", "-0", "numbers"])},
-    "unrank": {"--index": INTS},
-    "series": {
-        "--target": st.sampled_from(["motzkin", "nat"]),
-        "--order": INTS,
-        "--method": st.sampled_from(["functional", "closed", "product", "linear"]),
-    },
-    "symdiff": {"--max": INTS},
-    "verify": {"--max": INTS},
-}
+# Sample values of the one flag that takes any string, --word.
+WORDS = st.sampled_from(["()", "(0)", "0", "0()", "-0", "numbers"])
+
+
+def flag_values(spec):
+    """The values of one flag of ``cli._COMMANDS``; None for a switch."""
+    if spec.get("action") == "store_true":
+        return None
+    if "choices" in spec:
+        return st.sampled_from(spec["choices"])
+    return INTS if spec.get("type") is int else WORDS
+
+
+# Each subcommand's flags and the values they take, in the table's order.
+GRAMMAR = {command: {flag: flag_values(spec) for flag, spec in flags.items()} for command, (_, _, flags) in cli._COMMANDS.items()}
 EVERY_FLAG = sorted({flag for flags in GRAMMAR.values() for flag in flags})
 # How one flag is written: as the plain parser reads it, or in a form
 # that only argparse reads or refuses.

@@ -1,8 +1,9 @@
 import time
 
 import pytest
+import support
 
-from motzkin import sequences
+from motzkin import InternalError, sequences
 from motzkin.series import motzkin_series
 
 # OEIS A001006 prefix.
@@ -33,6 +34,18 @@ def test_motzkin_prefix_stability():
 def test_motzkin_strictly_increasing_from_two():
     values = sequences.motzkin_numbers(50)
     assert all(values[n] > values[n - 1] for n in range(2, 51))
+
+
+def test_an_inexact_step_stops_the_recurrence(monkeypatch, capsys):
+    # A remainder at the step to M_5, whose divisor is 7, ends the stream
+    # after M_4, and the CLI after printing M_0..M_4.
+    monkeypatch.setattr(sequences, "divmod", lambda a, b: (a // b, a % b + (b == 7)), raising=False)
+    stream = sequences.motzkin_stream(8)
+    assert [next(stream) for _ in range(5)] == [1, 1, 2, 4, 9]
+    with pytest.raises(InternalError, match="^recurrence not exact at n=5$"):
+        next(stream)
+    error = "error: INTERNAL: recurrence not exact at n=5\n"
+    assert support.run(capsys, "numbers", "--max", "8") == (3, "1\n1\n2\n4\n9\n", error)
 
 
 def test_difference_prefix_both_methods():

@@ -68,17 +68,9 @@ def reference_words(n, kind):
 
 
 def random_unique_word(rng, n):
-    """A random unique word of length n, drawn by a walk that never calls
-    into the package: each symbol is any one that can still be closed."""
-    if n == 1:
-        return "0"
-    symbols, depth = ["("], 1
-    for remaining in range(n - 2, -1, -1):
-        allowed = [(s, d) for s, d in (("0", 0), ("(", 1), (")", -1)) if 0 <= depth + d <= remaining]
-        symbol, step = rng.choice(allowed)
-        symbols.append(symbol)
-        depth += step
-    return "".join(symbols)
+    """A random unique word of length n: each symbol after the first is
+    any one that can still be closed."""
+    return "0" if n == 1 else support.drawn_word(n - 1, rng.randrange, "(", 1)
 
 
 def reference_rows(n):
@@ -314,6 +306,17 @@ class TestEnumerate:
             if n >= 2:
                 assert len(words.enumerate_words(n, "inherited")) == motzkin[n - 1]
 
+    def test_the_shared_drawer_reaches_every_word(self):
+        # support.drawn_word draws the random words of three suites: over
+        # every pick list it draws each word of a length and nothing else,
+        # and after "(" at depth 1, each unique word.
+        for n in range(9):
+            drawn = {support.drawn_word(n, support.cycled(p)) for p in product(range(3), repeat=n)}
+            assert drawn == set(words.enumerate_words(n))
+        for n in range(2, 9):
+            drawn = {support.drawn_word(n - 1, support.cycled(p), "(", 1) for p in product(range(3), repeat=n - 1)}
+            assert drawn == set(words.enumerate_words(n, "unique"))
+
     def test_partition_into_unique_and_inherited(self):
         for n in range(2, 9):
             unique = words.enumerate_words(n, "unique")
@@ -418,6 +421,13 @@ class TestRank:
                 words.rank(word)
             assert type(caught.value) is NotUniqueError
         assert ranking._COLUMNS is cold == cold_table()
+
+    def test_a_refused_unique_word_is_an_internal_error(self, cold, monkeypatch):
+        # A walk that refuses a word validate accepts is a fault of the
+        # table, not of the word.
+        monkeypatch.setattr(ranking, "_position", lambda word, columns: None)
+        with pytest.raises(InternalError, match=r"^rank refused the unique word '\(\)'$"):
+            ranking.rank("()")
 
     def test_closing_runs_match_the_reference_walk(self):
         # In each of these words a ')' runs at one more depth than the
