@@ -255,7 +255,9 @@ def nat_coefficients(k_max: int) -> list[int]:
     """Difference numbers U_0..U_k_max extracted by the derivative cycle.
 
     U_k is the k-th derivative of the seed fraction at zero over k!.
-    Raises InternalError if any value fails to be a natural number.
+    Raises InternalError if any value fails to be a natural number, and
+    DegenerateFractionError if a pass's denominator vanishes at zero,
+    which it cannot: c(0) + d(0) is 2^(k+1) at pass k.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
@@ -266,7 +268,10 @@ def nat_coefficients(k_max: int) -> list[int]:
         if k:
             cursor.advance()
             factorial *= k
-        numerator, denominator = _value_at_zero(cursor.current)
+        try:
+            numerator, denominator = _value_at_zero(cursor.current)
+        except ZeroDenominatorError as exc:
+            raise DegenerateFractionError(f"pass {k} has a denominator that vanishes at zero") from exc
         denominator *= factorial
         value, remainder = divmod(numerator, denominator)
         if remainder or value < 0:

@@ -21,6 +21,9 @@ from motzkin.series import TruncatedSeries
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# The deepest word at the rank bound, which reads every depth of the table.
+DEEPEST_WORD = "(" * (ranking.RANK_LIMIT // 2) + ")" * (ranking.RANK_LIMIT // 2)
+
 
 def child_env(unbuffered=False):
     """The environment of a child interpreter: ``src`` on its path, the

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import time
 import tracemalloc
 
 import pytest
@@ -116,12 +115,6 @@ class TestStreaming:
         peak = traced_peak(lambda: checks.extend(cli.verification_checks(24)))
         assert checks and all(ok for _, ok, _ in checks)
         assert peak < 2_000_000
-
-    def test_enumerate_length_sixteen_is_fast(self, monkeypatch):
-        monkeypatch.setattr(sys, "stdout", CountingSink())
-        start = time.perf_counter()
-        assert cli.main(["enumerate", "--length", "16"]) == 0
-        assert time.perf_counter() - start < 0.25
 
 
 class TestRankUnrank:

@@ -1,9 +1,11 @@
-"""Property test of the CLI's plain parser against argparse: on command
+"""Property tests of the CLI's plain parser against argparse: on command
 lines drawn from the subcommands' grammar, with the forms that only
 argparse reads mixed in, the plain parser either gives argparse's fields
-or declines, and it declines every line argparse refuses."""
+or declines, and it declines every line argparse refuses. A plain line,
+run, exits 0 or with one coded error line, never with a fault."""
 
 import io
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -93,18 +95,40 @@ def test_plain_parser_gives_argparse_fields_or_declines(argv):
         assert typed(plain) == typed(expected)
 
 
-@PROPERTY
-@given(st.data())
-def test_every_flag_once_in_any_order_is_plain(data):
-    # Each flag spelled out once, with a value of its grammar: the plain
-    # parser accepts the line whenever argparse does.
-    command = data.draw(st.sampled_from(sorted(GRAMMAR)))
+@st.composite
+def every_flag_once(draw, ints=INTS):
+    """A subcommand, then each of its flags spelled out once in any order,
+    with a value of its grammar; an int flag takes a value of ``ints``."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
     argv = [command]
-    for name in data.draw(st.permutations(sorted(GRAMMAR[command]))):
+    for name in draw(st.permutations(sorted(GRAMMAR[command]))):
         values = GRAMMAR[command][name]
-        argv += [name] if values is None else [name, data.draw(values)]
+        argv += [name] if values is None else [name, draw(ints if values is INTS else values)]
+    return argv
+
+
+@PROPERTY
+@given(every_flag_once())
+def test_every_flag_once_in_any_order_is_plain(argv):
+    # The plain parser accepts the line whenever argparse does.
     expected = argparse_fields(argv)
     plain = cli._plain_fields(argv)
     assert (plain is None) == (expected is None)
     if expected is not None:
         assert typed(plain) == typed(expected)
+
+
+@PROPERTY
+@given(every_flag_once(st.integers(-3, 14).map(str)))
+def test_plain_lines_exit_0_or_1_with_one_error_line(argv):
+    # Sizes small enough to run: a plain line is either done, or refused
+    # with one coded line; no fault (3) and no FAIL line (2).
+    assert cli._plain_fields(argv) is not None
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    hypothesis.event(f"exit {code}")
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 1 and re.fullmatch(r"error: [A-Z_]+: [^\n]*\n", err.getvalue())

@@ -1,5 +1,7 @@
 """Cost gates: each kernel's time as a multiple of an in-process probe.
 
+This is the one place where tier-1 bounds time; only the acceptance
+criteria keep their own bounds in seconds, as their text states them.
 The host this suite runs on changes speed from hour to hour, so a bound
 in seconds would either flake or be too loose to catch a regression.
 Each gate times a fixed probe in the same process, interleaved with the
@@ -18,12 +20,15 @@ products.
 """
 
 import gc
+import os
 import random
 import time
+from contextlib import redirect_stdout
 
 import pytest
+from support import DEEPEST_WORD, cold_table
 
-from motzkin import ranking, sequences, series, symdiff
+from motzkin import cli, ranking, sequences, series, symdiff
 
 ROUNDS = 3
 _BASE = 3**40000
@@ -38,14 +43,32 @@ def probe() -> None:
         total += step * step & 255
 
 
+def from_cold(walk, *arguments):
+    """``walk`` on each argument in turn, from a cold completion table."""
+    ranking._COLUMNS = cold_table()
+    return [walk(argument) for argument in arguments]
+
+
+def listing():
+    """``enumerate --length 16``, its listing written to the null device."""
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        assert cli.main(["enumerate", "--length", "16"]) == 0
+
+
 def kernels():
     """Kernel name -> a call of it on fixed arguments. The walks each make
     one pass over 24 seeded words or indexes of length 400, on a table
-    that already holds them."""
+    that already holds them, so a table rebuilt per call fails them. The
+    growth kernels start each round from a cold table: one ranks
+    "(0...0)" at every length up to the bound in ascending order, so each
+    word grows the table by one length; the other ranks the deepest word
+    at the bound, then unranks its index, which deepens the table one
+    column at a time."""
     motzkin = sequences.motzkin_numbers(400)
     rng = random.Random(400)
     indexes = [rng.randrange(motzkin[399], motzkin[400]) for _ in range(24)]
     found = [ranking.unrank(index) for index in indexes]
+    ascending = ["(" + "0" * (n - 2) + ")" for n in range(2, ranking.RANK_LIMIT + 1)]
     return {
         "rank": lambda: [ranking.rank(word) for word in found],
         "unrank": lambda: [ranking.unrank(index) for index in indexes],
@@ -53,6 +76,12 @@ def kernels():
         "difference_numbers": lambda: sequences.difference_numbers(1500, "convolution"),
         "motzkin_series_functional": lambda: series.motzkin_series(800, "functional"),
         "motzkin_series_closed_form": lambda: series.motzkin_series(800, "closed_form"),
+        "motzkin_numbers": lambda: sequences.motzkin_numbers(5000),
+        "nat_series_product": lambda: series.nat_series(800, "product"),
+        "nat_series_linear": lambda: series.nat_series(800, "linear"),
+        "enumerate": listing,
+        "ascending_growth": lambda: from_cold(ranking.rank, *ascending),
+        "deepest_word": lambda: from_cold(ranking.unrank, *from_cold(ranking.rank, DEEPEST_WORD)),
     }
 
 
@@ -87,11 +116,20 @@ BOUNDS = {
     "difference_numbers": 120,
     "motzkin_series_functional": 12,
     "motzkin_series_closed_form": 14,
+    "motzkin_numbers": 1.7,
+    "nat_series_product": 41,
+    "nat_series_linear": 18,
+    "enumerate": 13,
+    "ascending_growth": 73,
+    "deepest_word": 26,
 }
 
 
 @pytest.mark.parametrize("name", BOUNDS)
-def test_kernel_stays_within_its_probe_ratio(name):
+def test_kernel_stays_within_its_probe_ratio(monkeypatch, name):
+    # The growth kernels install cold tables; the process's own table
+    # comes back when the test ends.
+    monkeypatch.setattr(ranking, "_COLUMNS", ranking._COLUMNS)
     ratio, probe_seconds = best_ratio(kernels()[name])
     bound = BOUNDS[name]
     assert ratio <= bound, f"{name}: {ratio:.2f} probes, above the bound {bound} (probe {probe_seconds * 1e3:.1f} ms)"

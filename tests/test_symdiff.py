@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 from reference import fraction_series
-from support import formal_derivative
+from support import formal_derivative, run
 
 from motzkin import DegenerateFractionError, InternalError, ZeroDenominatorError
 from motzkin import sequences
@@ -289,9 +289,17 @@ class TestNatCoefficient:
             nat_coefficients(5)
 
     def test_vanishing_denominator_is_refused(self, monkeypatch):
+        # c(0) + d(0) is 2^(k+1) by construction, so no input reaches a
+        # vanishing denominator: it is a fault of the cycle.
         self.patch_pass(monkeypatch, 2, lambda f: f._replace(d=-f.c))
-        with pytest.raises(ZeroDenominatorError):
+        with pytest.raises(DegenerateFractionError, match="^pass 2 has a denominator that vanishes at zero$"):
             nat_coefficients(5)
+
+    def test_cli_reports_a_vanishing_denominator_as_a_fault(self, monkeypatch, capsys):
+        self.patch_pass(monkeypatch, 2, lambda f: f._replace(d=-f.c))
+        code, out, err = run(capsys, "symdiff", "--max", "5")
+        assert (code, out) == (3, "")
+        assert err == "error: DEGENERATE: pass 2 has a denominator that vanishes at zero\n"
 
 
 class TestFractionSeries:
