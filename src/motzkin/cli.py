@@ -8,8 +8,9 @@ success, 1 usage or input error, a reader that closed the output pipe
 early (silently) or output that could not be written (``error: OUTPUT:
 ...``, such as a full device), 2 when ``verify`` reports any FAIL line,
 3 when an internal invariant fails (``error: INTERNAL: ...`` or
-``error: DEGENERATE: ...``). A process started without stdout writes
-nothing and keeps its status.
+``error: DEGENERATE: ...``). A process started without stdout or
+stderr writes nothing in place of the missing stream and keeps its
+status.
 
 Every call is a new process, so start and exit are paid per request.
 ``_COMMANDS`` declares each subcommand's flags once. ``main`` reads a
@@ -283,18 +284,19 @@ def run() -> None:
     interpreter's teardown of every module, which a short-lived process
     does not need. If a flush fails, the process exits through
     ``sys.exit`` instead, so the interpreter reports it. A process
-    started without descriptor 1 writes to devnull and keeps its status.
+    started without descriptor 1 or 2 writes what would go there to
+    devnull and keeps its status.
     """
-    if sys.stdout is None:
-        sys.stdout = open(os.devnull, "w")
+    for name in ("stdout", "stderr"):
+        if getattr(sys, name) is None:
+            setattr(sys, name, open(os.devnull, "w"))
     status = main()
     atexit._run_exitfuncs()
     try:
         sys.stdout.flush()
         sys.stderr.flush()
-    except (OSError, ValueError, AttributeError):
-        # A reader that is gone, a closed stream, or none at all (None
-        # when the process started without that descriptor).
+    except (OSError, ValueError):
+        # A reader that is gone, or a closed stream.
         sys.exit(status)
     os._exit(status)
 

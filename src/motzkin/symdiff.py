@@ -206,20 +206,14 @@ def content_reduce(fraction: SqrtFraction) -> SqrtFraction:
     return SqrtFraction(*(IntPoly(k // g for k in poly.coefficients) for poly in fraction))
 
 
-def _value_at_zero(fraction: SqrtFraction) -> tuple[int, int]:
-    """Numerator and nonzero denominator of the value at x = 0, where W
-    evaluates to 1."""
-    denominator = fraction.c.at_zero() + fraction.d.at_zero()
-    if denominator == 0:
-        raise ZeroDenominatorError("denominator vanishes at zero")
-    return fraction.a.at_zero() + fraction.b.at_zero(), denominator
-
-
 def evaluate_at_zero(fraction: SqrtFraction) -> Fraction:
     """Value at x = 0, where W evaluates to 1."""
     from fractions import Fraction
 
-    return Fraction(*_value_at_zero(fraction))
+    denominator = fraction.c.at_zero() + fraction.d.at_zero()
+    if denominator == 0:
+        raise ZeroDenominatorError("denominator vanishes at zero")
+    return Fraction(fraction.a.at_zero() + fraction.b.at_zero(), denominator)
 
 
 class DerivativeCursor:
@@ -268,16 +262,15 @@ def nat_coefficients(k_max: int) -> list[int]:
         if k:
             cursor.advance()
             factorial *= k
-        try:
-            numerator, denominator = _value_at_zero(cursor.current)
-        except ZeroDenominatorError as exc:
-            raise DegenerateFractionError(f"pass {k} has a denominator that vanishes at zero") from exc
-        denominator *= factorial
-        value, remainder = divmod(numerator, denominator)
+        a, b, c, d = cursor.current
+        denominator = (c.at_zero() + d.at_zero()) * factorial
+        if denominator == 0:
+            raise DegenerateFractionError(f"pass {k} has a denominator that vanishes at zero")
+        value, remainder = divmod(a.at_zero() + b.at_zero(), denominator)
         if remainder or value < 0:
             from fractions import Fraction
 
-            raise InternalError(f"pass {k} produced {Fraction(numerator, denominator)}, not a natural number")
+            raise InternalError(f"pass {k} produced {value + Fraction(remainder, denominator)}, not a natural number")
         out.append(value)
     return out
 

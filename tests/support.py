@@ -18,6 +18,7 @@ from pathlib import Path
 
 from motzkin import cli, ranking
 from motzkin.series import TruncatedSeries
+from motzkin.symdiff import IntPoly, SqrtFraction
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -90,3 +91,18 @@ def formal_derivative(series):
     """The term-by-term derivative of a truncated series, one order lower."""
     coeffs = series.coefficients
     return TruncatedSeries((n + 1) * coeffs[n + 1] for n in range(len(coeffs) - 1))
+
+
+def random_fraction(rng, max_degree=3, span=6):
+    """A fraction whose four polynomials have degree ``max_degree`` or less
+    and coefficients in -``span``..``span``, drawn from ``rng`` until its
+    denominator is evaluable at zero. The one drawer of random fractions
+    for every test file."""
+
+    def poly():
+        return IntPoly(rng.randrange(-span, span + 1) for _ in range(max_degree + 1))
+
+    while True:
+        f = SqrtFraction(poly(), poly(), poly(), poly())
+        if f.c.at_zero() + f.d.at_zero() != 0:
+            return f

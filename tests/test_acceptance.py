@@ -10,24 +10,15 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from support import random_fraction
 
 from motzkin import cli, sequences, words
 from motzkin.series import TruncatedSeries, motzkin_series, nat_series
-from motzkin.symdiff import IntPoly, SqrtFraction, content_reduce, evaluate_at_zero
+from motzkin.symdiff import SqrtFraction, content_reduce, evaluate_at_zero
 
 MOTZKIN_PREFIX = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511, 41835]
 DIFFERENCE_PREFIX = [0, 1, 1, 2, 5, 12, 30, 76, 196, 512, 1353, 3610, 9713, 26324, 71799]
 SERIES_PREFIX = ["0", "()", "(0)", "()0", "(00)", "(0)0", "(())", "()00", "()()", "(000)", "(00)0", "(0())"]
-
-
-def random_fraction(rng, max_degree=3, span=6):
-    def poly():
-        return IntPoly(rng.randrange(-span, span + 1) for _ in range(max_degree + 1))
-
-    while True:
-        f = SqrtFraction(poly(), poly(), poly(), poly())
-        if f.c.at_zero() + f.d.at_zero() != 0:
-            return f
 
 
 @pytest.fixture

@@ -440,13 +440,18 @@ class TestExitPath:
         assert (done.returncode, done.stdout, done.stderr) == (3, b"", b"error: INTERNAL: probe fault\n")
 
     @pytest.mark.parametrize("closed", [1, 2], ids=["stdout", "stderr"])
-    @pytest.mark.parametrize("argv, status", [(["numbers", "--max", "3"], 0), (["rank", "--word", "00"], 1)])
-    def test_no_stderr_keeps_the_status(self, argv, status, closed):
+    @pytest.mark.parametrize(
+        "argv, status", [(["numbers", "--max", "3"], 0), (["rank", "--word", "00"], 1), (["numbers", "--max", "x"], 1)]
+    )
+    def test_no_stderr_keeps_the_status(self, argv, status, closed, capsys):
         # Started without descriptor 1 or 2, the process has sys.stdout or
-        # sys.stderr None; either way it ends with the status and no traceback.
+        # sys.stderr None; either way it ends with the status and no traceback,
+        # and without stderr nothing of an error reaches stdout.
         done = python("-m", "motzkin.cli", *argv, preexec_fn=lambda: os.close(closed))
         assert done.returncode == status
         assert b"Traceback" not in done.stderr
+        if closed == 2:
+            assert done.stdout == run(capsys, *argv)[1].encode()
 
     # A full device fails the first write when unbuffered; buffered, a
     # short listing fails only in main's flush. Each ends in one coded line.
@@ -598,21 +603,15 @@ class TestStartup:
         with pytest.raises(AttributeError):
             motzkin.no_such_name
 
+    # The command table keeps its own literals, so parsing imports no
+    # library module; these keep them equal to the libraries' lists. Both
+    # parsers read the table, and test_declarations_are_pinned pins the
+    # argparse tree built from it.
     def test_filter_choices_are_the_word_filters(self):
-        parser = cli.build_parser()
-        commands = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
-        listing = commands.choices["enumerate"]
-        choices = next(action.choices for action in listing._actions if action.dest == "filter")
-        assert tuple(choices) == words.FILTERS
+        assert tuple(cli._COMMANDS["enumerate"][2]["--filter"]["choices"]) == words.FILTERS
 
     def test_method_choices_are_the_library_methods(self):
-        # The parser keeps its own literals, so parsing imports no library
-        # module; this keeps them equal to the libraries' lists.
-        parser = cli.build_parser()
-        commands = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
-        diff = commands.choices["diff"]
-        choices = next(action.choices for action in diff._actions if action.dest == "method")
-        assert tuple(choices) == sequences.DIFFERENCE_METHODS
+        assert tuple(cli._COMMANDS["diff"][2]["--method"]["choices"]) == sequences.DIFFERENCE_METHODS
         assert tuple(cli._SERIES_METHODS["motzkin"].values()) == series.MOTZKIN_METHODS
         assert tuple(cli._SERIES_METHODS["nat"].values()) == series.NAT_FORMS
 

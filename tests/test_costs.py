@@ -114,7 +114,7 @@ BOUNDS = {
     "unrank": 0.43,
     "nat_coefficients": 100,
     "difference_numbers": 120,
-    "motzkin_series_functional": 12,
+    "motzkin_series_functional": 14,
     "motzkin_series_closed_form": 14,
     "motzkin_numbers": 1.7,
     "nat_series_product": 41,

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 from reference import fraction_series
-from support import formal_derivative, run
+from support import formal_derivative, random_fraction, run
 
 from motzkin import DegenerateFractionError, InternalError, ZeroDenominatorError
 from motzkin import sequences
@@ -20,18 +20,6 @@ from motzkin.symdiff import (
     initial_fraction,
     nat_coefficients,
 )
-
-
-def random_fraction(rng, max_degree=3, span=6):
-    """Random fraction whose denominator is evaluable at zero."""
-
-    def poly():
-        return IntPoly(rng.randrange(-span, span + 1) for _ in range(max_degree + 1))
-
-    while True:
-        f = SqrtFraction(poly(), poly(), poly(), poly())
-        if f.c.at_zero() + f.d.at_zero() != 0:
-            return f
 
 
 class TestIntPoly:
@@ -101,7 +89,7 @@ class TestInitialFraction:
         a, b, c, d = f
         assert (a, b, c, d) == (f.a, f.b, f.c, f.d)
 
-    def test_value_at_zero(self):
+    def test_seed_evaluates_to_zero(self):
         assert evaluate_at_zero(initial_fraction()) == 0
 
 

@@ -537,14 +537,6 @@ class TestRankLimit:
         assert ranking._COLUMNS is cold == cold_table()
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
-    def test_unrank_at_the_limit_peaks_below_60_mb(self):
-        # The last index below the bound builds the table to length 1000:
-        # 84.3 MB of process with whole rows, about 46 MB with the rows cut
-        # to what a walk can read.
-        last = sequences.motzkin_numbers(ranking.RANK_LIMIT)[-1] - 1
-        assert run_fresh("unrank", last)["peak_mb"] < 60
-
-    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_unrank_of_the_last_index_peaks_below_20_mb(self):
         # M_1000 - 1 is "()()...()", which reads depth 2 at most, so its
         # table holds three counts a row.
