@@ -242,21 +242,20 @@ def _plain_fields(argv: list[str]) -> dict | None:
 def main(argv: list[str] | None = None) -> int:
     """Run one command line (default ``sys.argv[1:]``); return its exit status."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    fields = _plain_fields(argv)
-    if fields is None:
-        try:
-            fields = vars(build_parser().parse_args(argv))
-        except SystemExit as exc:
-            return 0 if exc.code in (0, None) else 1
-    handler = _COMMANDS[fields["command"]][0]
-    # M_9025 is the first Motzkin number with more than 4300 digits, the
-    # interpreter's default int-to-str limit. Lift it for the handler
-    # only: --index above was parsed under it, and in-process callers
-    # get theirs back.
     digit_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
-        status = handler(SimpleNamespace(**fields)) or 0
+        try:
+            fields = _plain_fields(argv) or vars(build_parser().parse_args(argv))
+        except SystemExit as exc:
+            # Help, or a usage error; either has written its text.
+            status = 0 if exc.code in (0, None) else 1
+        else:
+            # M_9025 is the first Motzkin number with more than 4300 digits,
+            # the interpreter's default int-to-str limit. Lift it for the
+            # handler only: --index was parsed under it, and in-process
+            # callers get theirs back.
+            sys.set_int_max_str_digits(0)
+            status = _COMMANDS[fields["command"]][0](SimpleNamespace(**fields)) or 0
         sys.stdout.flush()
         return status
     except OSError as exc:
@@ -282,22 +281,16 @@ def run() -> None:
     Runs ``main()``, then the ``atexit`` handlers, flushes stdout and
     stderr and ends the process with ``os._exit``, skipping the
     interpreter's teardown of every module, which a short-lived process
-    does not need. If a flush fails, the process exits through
-    ``sys.exit`` instead, so the interpreter reports it. A process
-    started without descriptor 1 or 2 writes what would go there to
-    devnull and keeps its status.
+    does not need. A process started without descriptor 1 or 2 writes
+    what would go there to devnull and keeps its status.
     """
     for name in ("stdout", "stderr"):
         if getattr(sys, name) is None:
             setattr(sys, name, open(os.devnull, "w"))
     status = main()
     atexit._run_exitfuncs()
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except (OSError, ValueError):
-        # A reader that is gone, or a closed stream.
-        sys.exit(status)
+    sys.stdout.flush()
+    sys.stderr.flush()
     os._exit(status)
 
 

@@ -18,10 +18,11 @@ Coefficients are Python ints until a series division forms a quotient
 or a square root halves an odd value; either gives a ``Fraction``. Sums
 and products keep whichever they are given. So the functional solver,
 both ``nat_series`` forms and the closed form, whose every halving is
-exact, stay in the ints, and integrality of the final tables is asserted
-rather than assumed. ``fractions`` (which loads ``decimal``) is imported
-only where a ``Fraction`` is formed or a non-int coefficient is checked,
-so a process that stays in the ints never loads either module.
+exact, stay in the ints. Integrality is asserted rather than assumed,
+by ``integer_coefficients`` when a table is read. ``fractions`` (which
+loads ``decimal``) is imported only where a ``Fraction`` is formed or a
+non-int coefficient is checked, so a process that stays in the ints
+never loads either module.
 """
 
 from __future__ import annotations
@@ -185,12 +186,9 @@ def motzkin_series(order: int, method: str = "functional") -> TruncatedSeries:
             h = (n - 1) // 2
             acc = coeffs[n - 1] + 2 * sum(map(mul, coeffs[:h], reversed(coeffs[n - 1 - h : n - 1])))
             coeffs.append(acc + coeffs[h] ** 2 if n % 2 == 0 else acc)
-        result = TruncatedSeries(coeffs)
-    else:
-        root = TruncatedSeries.from_coefficients([1, -2, -3], order + 2).sqrt()
-        result = TruncatedSeries(_half(-c) for c in root.coefficients[2:])
-    result.integer_coefficients()
-    return result
+        return TruncatedSeries(coeffs)
+    root = TruncatedSeries.from_coefficients([1, -2, -3], order + 2).sqrt()
+    return TruncatedSeries(_half(-c) for c in root.coefficients[2:])
 
 
 def nat_series(order: int, form: str = "product") -> TruncatedSeries:
@@ -204,9 +202,6 @@ def nat_series(order: int, form: str = "product") -> TruncatedSeries:
         raise ValueError(f"unknown form {form!r}")
     m = motzkin_series(order, "functional")
     if form == "product":
-        result = TruncatedSeries([0, 1, *(m * m).coefficients][: order + 1])
-    else:
-        one_minus_x = TruncatedSeries.from_coefficients([1, -1], order)
-        result = TruncatedSeries.from_coefficients([-1, 1], order) + one_minus_x * m
-    result.integer_coefficients()
-    return result
+        return TruncatedSeries([0, 1, *(m * m).coefficients][: order + 1])
+    one_minus_x = TruncatedSeries.from_coefficients([1, -1], order)
+    return TruncatedSeries.from_coefficients([-1, 1], order) + one_minus_x * m

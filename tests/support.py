@@ -93,14 +93,14 @@ def formal_derivative(series):
     return TruncatedSeries((n + 1) * coeffs[n + 1] for n in range(len(coeffs) - 1))
 
 
-def random_fraction(rng, max_degree=3, span=6):
-    """A fraction whose four polynomials have degree ``max_degree`` or less
-    and coefficients in -``span``..``span``, drawn from ``rng`` until its
-    denominator is evaluable at zero. The one drawer of random fractions
-    for every test file."""
+def random_fraction(rng):
+    """A fraction whose four polynomials have degree 3 or less and
+    coefficients in -6..6, drawn from ``rng`` until its denominator is
+    evaluable at zero. The one drawer of random fractions for every test
+    file."""
 
     def poly():
-        return IntPoly(rng.randrange(-span, span + 1) for _ in range(max_degree + 1))
+        return IntPoly(rng.randrange(-6, 7) for _ in range(4))
 
     while True:
         f = SqrtFraction(poly(), poly(), poly(), poly())

@@ -120,8 +120,8 @@ BOUNDS = {
     "nat_series_product": 41,
     "nat_series_linear": 18,
     "enumerate": 13,
-    "ascending_growth": 73,
-    "deepest_word": 26,
+    "ascending_growth": 77,
+    "deepest_word": 33,
 }
 
 

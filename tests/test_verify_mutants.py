@@ -13,12 +13,12 @@ from support import cold, run
 from motzkin import InternalError, cli, ranking, sequences, series, symdiff, words
 
 
-def _bump(values, n):
-    """values with entry n raised by two, when it has one; an even error
+def _bump(values, n, by=2):
+    """values with entry n raised by ``by``, when it has one; an even error
     survives the halvings of the closed form as a wrong integer."""
     values = list(values)
     if n < len(values):
-        values[n] += 2
+        values[n] += by
     return values
 
 
@@ -30,6 +30,15 @@ def wrong_sqrt_coefficient(monkeypatch):
     original = series.TruncatedSeries.sqrt
     monkeypatch.setattr(
         series.TruncatedSeries, "sqrt", lambda self: series.TruncatedSeries(_bump(original(self).coefficients, 5))
+    )
+
+
+def odd_sqrt_coefficient(monkeypatch):
+    # An odd error: the closed form halves W_5 + 1 to M_3 = 7/2, which
+    # reading the table refuses.
+    original = series.TruncatedSeries.sqrt
+    monkeypatch.setattr(
+        series.TruncatedSeries, "sqrt", lambda self: series.TruncatedSeries(_bump(original(self).coefficients, 5, 1))
     )
 
 
@@ -215,6 +224,7 @@ def wrong_unrank_at_index_100(monkeypatch):
 MUTANTS = [
     (constant_compare, {"unrank-order-coherence"}),
     (wrong_sqrt_coefficient, {"motzkin-functional-vs-closed-form"}),
+    (odd_sqrt_coefficient, None),
     (wrong_product_coefficient, {"nat-product-vs-linear", "nat-series-vs-difference-table"}),
     (wrong_completion_row, None),
     (wrong_table_seed, None),
